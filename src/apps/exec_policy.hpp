@@ -29,6 +29,8 @@ struct SeqExec {
       body(i, std::min(i + grain, end));
     }
   }
+
+  static void poll() {}
 };
 
 /// Forks every thunk as a fine-grain thread; joins before returning.
@@ -58,6 +60,11 @@ struct StExec {
     }
     jc.join();
   }
+
+  /// Feeley-style poll for fork-free leaf code: lets a thief take this
+  /// worker's oldest parent continuation while the leaf runs.  Leaves
+  /// space their polls so one costs nothing measurable at P=1.
+  static void poll() { st::poll(); }
 };
 
 /// Spawns every thunk as a heap task; helps until the group drains.
@@ -78,6 +85,8 @@ struct CkExec {
     }
     g.sync();
   }
+
+  static void poll() {}
 };
 
 }  // namespace apps

@@ -27,6 +27,7 @@ void run_steps(Grid& g, int steps) {
     double* out = next.data();
     Exec::par_for(1, nx - 1, band, [cur, out, ny](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
+        Exec::poll();
         for (std::size_t j = 1; j < ny - 1; ++j) {
           const double c = cur[i * ny + j];
           out[i * ny + j] = c + kAlpha * (cur[(i - 1) * ny + j] + cur[(i + 1) * ny + j] +

@@ -63,15 +63,21 @@ bool feasible(const Board& b, int pos) {
   return true;
 }
 
+/// Leaf polls stop this many cells in: deeper subtrees are too small to
+/// be worth a poll each.
+constexpr int kPollCells = 8;
+
+template <typename Exec>
 long count_seq(Board& b, int pos) {
   if (pos == kCells) return 1;
+  if (pos < kPollCells) Exec::poll();
   long found = 0;
   for (int v = 1; v <= kCells; ++v) {
     const std::uint32_t bit = 1u << (v - 1);
     if (b.used & bit) continue;
     b.cell[pos] = v;
     b.used |= bit;
-    if (feasible(b, pos)) found += count_seq(b, pos + 1);
+    if (feasible(b, pos)) found += count_seq<Exec>(b, pos + 1);
     b.used &= ~bit;
     b.cell[pos] = 0;
   }
@@ -86,7 +92,7 @@ template <typename Exec>
 void count_par(const Board& b, int pos, std::atomic<long>& total) {
   if (pos == kForkCells) {
     Board local = b;
-    total.fetch_add(count_seq(local, pos), std::memory_order_relaxed);
+    total.fetch_add(count_seq<Exec>(local, pos), std::memory_order_relaxed);
     return;
   }
   // Expand all feasible placements of this cell, then descend into the
@@ -126,7 +132,7 @@ long seq(int first_cell_limit) {
   for (int v = 1; v <= first_cell_limit && v <= kCells; ++v) {
     b.cell[0] = v;
     b.used = 1u << (v - 1);
-    total += count_seq(b, 1);
+    total += count_seq<SeqExec>(b, 1);
   }
   return total;
 }

@@ -87,6 +87,7 @@ void mm_blocked(double* c, const double* a, const double* b, std::size_t n) {
   Exec::par_for(0, n, kLeaf, [&](std::size_t i0, std::size_t i1) {
     for (std::size_t k0 = 0; k0 < n; k0 += kLeaf) {
       for (std::size_t j0 = 0; j0 < n; j0 += kLeaf) {
+        Exec::poll();
         for (std::size_t i = i0; i < i1; ++i) {
           for (std::size_t k = k0; k < std::min(k0 + kLeaf, n); ++k) {
             const double aik = a[i * n + k];

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "apps/exec_policy.hpp"
@@ -12,14 +13,23 @@ namespace apps::nqueens {
 
 namespace {
 
-long count_seq(int n, std::uint32_t cols, std::uint32_t diag1, std::uint32_t diag2) {
+/// `row` queens are placed.  Leaf polls stop five rows short of the
+/// bottom, where subtrees are too small to be worth a poll each; from
+/// there the search runs the poll-free SeqExec instance, which is seq()'s
+/// own code (carrying `row` through the hot rows costs a register).
+template <typename Exec>
+long count_seq(int n, int row, std::uint32_t cols, std::uint32_t diag1, std::uint32_t diag2) {
   if (cols == (1u << n) - 1) return 1;
+  if constexpr (!std::is_same_v<Exec, SeqExec>) {
+    if (row >= n - 5) return count_seq<SeqExec>(n, row, cols, diag1, diag2);
+    Exec::poll();
+  }
   long found = 0;
   std::uint32_t free_slots = ~(cols | diag1 | diag2) & ((1u << n) - 1);
   while (free_slots != 0) {
     const std::uint32_t bit = free_slots & (0u - free_slots);
     free_slots ^= bit;
-    found += count_seq(n, cols | bit, (diag1 | bit) << 1, (diag2 | bit) >> 1);
+    found += count_seq<Exec>(n, row + 1, cols | bit, (diag1 | bit) << 1, (diag2 | bit) >> 1);
   }
   return found;
 }
@@ -45,7 +55,7 @@ long run(int n) {
   }
   Exec::par_for(0, starts.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      total.fetch_add(count_seq(n, starts[i].cols, starts[i].d1, starts[i].d2),
+      total.fetch_add(count_seq<Exec>(n, 2, starts[i].cols, starts[i].d1, starts[i].d2),
                       std::memory_order_relaxed);
     }
   });
@@ -54,7 +64,7 @@ long run(int n) {
 
 }  // namespace
 
-long seq(int n) { return count_seq(n, 0, 0, 0); }
+long seq(int n) { return count_seq<SeqExec>(n, 0, 0, 0, 0); }
 long run_st(int n) { return run<StExec>(n); }
 long run_ck(int n) { return run<CkExec>(n); }
 

@@ -103,12 +103,11 @@ inline void record_resume_latency(Worker* w, Continuation* c) noexcept {
   }
 }
 
-/// Entry point of every forked computation (reached through st_ctx_boot).
-void child_entry(void* raw_msg, void* arg) {
-  run_switch_msg(static_cast<SwitchMsg*>(raw_msg));
-  auto* s = static_cast<Stacklet*>(arg);
-  s->invoke(s->closure);
-  // Completed.  tl_worker is re-read: the computation may have migrated.
+/// Completion of a forked computation.  Out of line so that its tl_worker
+/// read resolves the TLS address afresh: the computation may have
+/// migrated, and an address child_entry computed before invoke() would
+/// name the old OS thread's worker.
+[[noreturn, gnu::noinline]] void complete_child(Stacklet* s) {
   Worker* w = tl_worker;
   ++w->stats().tasks_completed;
   w->trace(stu::kTraceTaskComplete, reinterpret_cast<std::uintptr_t>(s));
@@ -117,6 +116,21 @@ void child_entry(void* raw_msg, void* arg) {
   // unreusable until the release actually runs).
   SwitchMsg release{&release_stacklet_cb, s};
   detail::finish_current(&release);
+}
+
+/// Entry point of every forked computation (reached through st_ctx_boot).
+void child_entry(void* raw_msg, void* arg) {
+  run_switch_msg(static_cast<SwitchMsg*>(raw_msg));
+  auto* s = static_cast<Stacklet*>(arg);
+  // The fork point's steal poll.  It sits here, not in fork_impl, because
+  // only now is the parent continuation on the fork deque with its sp
+  // saved: a waiting thief gets it before this child runs a (possibly
+  // long) fork-free stretch.  Polling before the push found the deque
+  // empty in a flat fork loop, so its continuation was never stolen.
+  Worker* w = tl_worker;
+  if (w->poll_word() & Worker::kPollServe) [[unlikely]] w->poll_slow();
+  s->invoke(s->closure);
+  complete_child(s);
 }
 
 }  // namespace
@@ -154,11 +168,11 @@ void fork_impl(void (*invoke)(void*), void* closure, Stacklet* s) {
   Worker* w = tl_worker;
   // The paper's "a fork costs about a procedure call": two plain
   // increments, one relaxed load of the poll word, one predictable
-  // branch.  Everything observable from outside -- steal service, trace
-  // events, mirror publication, futex pokes -- hides behind the word.
+  // branch.  Trace events hide behind the word here; steal service,
+  // mirror publication and futex pokes wait for the child's entry poll.
   ++w->stats().forks;
   w->heartbeat();
-  if (w->poll_word() != 0) [[unlikely]] w->fork_poll_slow(s);
+  if (w->poll_word() & Worker::kPollFeatures) [[unlikely]] w->fork_poll_slow(s);
   s->invoke = invoke;
   s->closure = closure;
   Continuation parent;  // this worker's deques never outlive this frame's liveness
@@ -310,12 +324,10 @@ void Worker::serve_steal_request() {
 }
 
 void Worker::poll_slow() noexcept {
-  // Clear the serviceable bits *before* acting on them: a remote post
-  // racing with the clear re-sets its bit and is seen at the next poll
-  // (in particular a thief that CASes the port after our exchange).
+  // Clear the steal bit *before* acting on it: a thief that CASes the
+  // port after our exchange re-sets it and is seen at the next poll.
   hb::access(this, stu::kSchedAccessAtomic, hb::kSitePollWord);
-  const std::uint32_t bits =
-      poll_word_.fetch_and(~(kPollSteal | kPollSample), std::memory_order_acquire);
+  const std::uint32_t bits = poll_word_.fetch_and(~kPollSteal, std::memory_order_acquire);
   if (bits & kPollSteal) {
     StealRequest* r = port_.exchange(nullptr, std::memory_order_acq_rel);
     if (r != nullptr) {
@@ -373,7 +385,6 @@ void Worker::poll_slow() noexcept {
         }
         r->state.store(StealRequest::kServed, std::memory_order_release);
       } else {
-        ++stats_.steals_rejected;
         trace(stu::kTraceStealRejected, reinterpret_cast<std::uintptr_t>(r));
         if (stu::sched_recording()) [[unlikely]] {
           stu::sched_record(stu::kSchedServe, static_cast<std::uint16_t>(id_),
@@ -384,7 +395,13 @@ void Worker::poll_slow() noexcept {
       publish_depth();  // occupancy changed (or a stale value cost a reject)
     }
   }
-  if (bits & kPollSample) publish_stats();
+  if (bits & kPollSample) {
+    // Publish *then* clear: stats() reads the mirrors as soon as it sees
+    // the bit clear.  A sample posted between the two is answered by this
+    // publish -- nothing runs on this worker in between.
+    publish_stats();
+    poll_word_.fetch_and(~kPollSample, std::memory_order_release);
+  }
   if (bits & kPollParked) {
     // Someone futex-parked while we were (presumably) making work: if we
     // have anything stealable, poke the epoch so they come back.  The
@@ -402,16 +419,12 @@ void Worker::poll_slow() noexcept {
 }
 
 void Worker::fork_poll_slow(Stacklet* s) noexcept {
-  const std::uint32_t word = poll_word();
-  if (word & (kPollSteal | kPollSample | kPollParked)) poll_slow();
-  if (word & kPollFeatures) {
-    if (s->region != nullptr) {
-      trace(stu::kTraceStackletAlloc, reinterpret_cast<std::uintptr_t>(s), s->slot);
-    } else {
-      trace(stu::kTraceHeapFallback, reinterpret_cast<std::uintptr_t>(s));
-    }
-    trace(stu::kTraceFork, reinterpret_cast<std::uintptr_t>(s));
+  if (s->region != nullptr) {
+    trace(stu::kTraceStackletAlloc, reinterpret_cast<std::uintptr_t>(s), s->slot);
+  } else {
+    trace(stu::kTraceHeapFallback, reinterpret_cast<std::uintptr_t>(s));
   }
+  trace(stu::kTraceFork, reinterpret_cast<std::uintptr_t>(s));
 }
 
 void Worker::publish_stats() noexcept {
@@ -514,7 +527,6 @@ bool Worker::try_steal_and_run() {
   // victim classifies identically to the recorded run.
   const unsigned vdom = rt_.domain_of(victim->id());
   local = vdom == domain_;
-  ++stats_.steal_attempts;
   set_phase(WorkerPhase::kStealing);
   const bool timed = stu::metrics_enabled();
   const std::uint64_t t0 = timed ? stu::trace_clock() : 0;
@@ -546,6 +558,10 @@ bool Worker::try_steal_and_run() {
   }
   // Port claimed: raise the victim's poll bit (after the CAS, so a victim
   // that clears the bit concurrently re-observes the request next poll).
+  // This is a negotiation -- a lost CAS is not -- and it ends in exactly
+  // one of received / rejected / cancelled.  The attempt is counted with
+  // its outcome, by this thread, so every published snapshot satisfies
+  // steal_attempts == received + rejected + cancelled.
   hb::access(victim, stu::kSchedAccessAtomic, hb::kSitePollWord);
   victim->post_poll_bits(kPollSteal);
   trace(stu::kTraceStealPosted, reinterpret_cast<std::uintptr_t>(&req), victim->id());
@@ -584,6 +600,7 @@ bool Worker::try_steal_and_run() {
         // Withdrawn before the victim saw it.  Cancels get their own
         // series: folding them into steal_latency skewed its p99 toward
         // the spin-limit constant.
+        ++stats_.steal_attempts;
         ++stats_.steals_cancelled;
         trace(stu::kTraceStealCancelled, reinterpret_cast<std::uintptr_t>(&req), victim->id());
         if (stu::sched_recording()) [[unlikely]] {
@@ -616,6 +633,7 @@ bool Worker::try_steal_and_run() {
   // time is the steal latency.
   if (gate_held) rt_.release_remote_gate(domain_);
   if (timed) metrics_.steal_latency.record(stu::trace_clock() - t0);
+  ++stats_.steal_attempts;
 
   const bool served = req.state.load(std::memory_order_acquire) == StealRequest::kServed;
   if (stu::sched_recording()) [[unlikely]] {
@@ -635,6 +653,7 @@ bool Worker::try_steal_and_run() {
                                "negotiation resolved differently");
   }
   if (!served) {
+    ++stats_.steals_rejected;
     // Adaptive victim steering: a rejection decays this domain's hit EMA
     // and (when local) advances the streak that eventually unlocks
     // cross-domain probing.  A remote rejection *spends* the streak
@@ -1250,6 +1269,8 @@ RuntimeStats Runtime::stats() const {
         std::this_thread::yield();
       }
     }
+    // Pairs with the owner's release clear of kPollSample after publishing.
+    std::atomic_thread_fence(std::memory_order_acquire);
   }
   RuntimeStats out;
   for (const auto& w : workers_) {

@@ -19,7 +19,7 @@
 //   st::restart(c)        ~ restart(c): immediate -- the caller becomes
 //                           c's parent and c runs now (Figure 7/8).
 //   st::poll()            ~ the manually inserted polling of Section 4.1
-//                           (Feeley-style); also run at every fork point.
+//                           (Feeley-style); also run at every child entry.
 //
 // Migration (Figure 9/10) follows from these: an idle worker posts a
 // request; the victim's poll hands over the tail of its lazy task queue
@@ -323,9 +323,10 @@ void resume(Continuation* c);
 /// caller continues when c finishes or suspends (or on a thief).
 void restart(Continuation* c);
 
-/// Serve pending steal requests.  Called automatically at every fork
-/// point; insert manually into long fork-free stretches (the paper
-/// inserts polls following Feeley's scheme).
+/// Serve pending steal requests.  Called automatically at every child's
+/// entry (the parent continuation is stealable by then); insert manually
+/// into long fork-free stretches (the paper inserts polls following
+/// Feeley's scheme; the apps do it through Exec::poll()).
 void poll();
 
 /// True when the calling OS thread is a worker.

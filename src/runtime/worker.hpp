@@ -182,6 +182,8 @@ class alignas(stu::kCacheLine) Worker {
   static constexpr std::uint32_t kPollSample = 1u << 1;   ///< publish mirrors
   static constexpr std::uint32_t kPollParked = 1u << 2;   ///< thieves parked: poke futex
   static constexpr std::uint32_t kPollFeatures = 1u << 3; ///< trace/metrics on
+  /// The bits poll_slow() acts on (kPollFeatures alone needs no service).
+  static constexpr std::uint32_t kPollServe = kPollSteal | kPollSample | kPollParked;
 
   /// Fork-deque depth publication cadence on the fork fast path
   /// (power-of-two decimation; also the deque_depth sampling rate).
@@ -213,8 +215,10 @@ class alignas(stu::kCacheLine) Worker {
   /// thieves, refresh the features bit.
   void poll_slow() noexcept;
 
-  /// Fork-point slow path: poll_slow plus the per-fork trace/metrics work
-  /// (stacklet-alloc + fork events) that only runs when a feature is on.
+  /// Fork-point slow path: the per-fork trace/metrics work (stacklet-alloc
+  /// + fork events) that only runs when a feature is on.  The fork's steal
+  /// poll runs at the child's entry instead, once the parent continuation
+  /// is on the fork deque.
   void fork_poll_slow(Stacklet* s) noexcept;
 
   /// Serve at most one pending steal request (the paper's

@@ -242,11 +242,15 @@ Summary HistogramSnapshot::summarize() const {
     weights.push_back(buckets[b]);
   }
   Summary s = summarize_weighted(centers, weights);
-  // min/max/mean are tracked exactly; prefer them over bucket estimates.
+  // min/max/mean are tracked exactly; prefer them over bucket estimates,
+  // and keep the quantiles (bucket midpoints) inside that exact range.
   if (s.n > 0) {
     s.min = static_cast<double>(min);
     s.max = static_cast<double>(max);
     s.mean = static_cast<double>(sum) / static_cast<double>(count);
+    s.median = std::clamp(s.median, s.min, s.max);
+    s.p90 = std::clamp(s.p90, s.min, s.max);
+    s.p99 = std::clamp(s.p99, s.min, s.max);
   }
   return s;
 }

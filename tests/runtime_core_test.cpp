@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "sync/join_counter.hpp"
@@ -224,6 +227,37 @@ TEST(RuntimeCore, MigrationHappensUnderMultipleWorkers) {
     ASSERT_EQ(result, 17711);
   }
   EXPECT_GT(rt.stats().steal_attempts, 0u);
+}
+
+TEST(RuntimeCore, FlatForkLoopLeavesAreStolen) {
+  // A flat fork loop whose children neither fork nor poll: the only poll
+  // a victim makes is the one at each child's entry, and the loop's
+  // continuation must be stealable there.  (A poll made before the parent
+  // is pushed finds the deque empty and rejects every thief.)  Rounds
+  // repeat until a steal lands so a briefly descheduled thief cannot
+  // fail the test; without the entry poll no round ever steals.
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw < 2) GTEST_SKIP() << "needs at least 2 hardware threads";
+  st::Runtime rt(std::min(4u, hw));
+  for (int round = 0; round < 20 && rt.stats().steals_received == 0; ++round) {
+    std::atomic<int> done{0};
+    rt.run([&] {
+      st::JoinCounter jc;
+      for (int i = 0; i < 8; ++i) {
+        jc.add();
+        st::fork([&] {
+          const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(3);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+          done.fetch_add(1, std::memory_order_relaxed);
+          jc.finish();
+        });
+      }
+      jc.join();
+    });
+    ASSERT_EQ(done.load(), 8);
+  }
+  EXPECT_GT(rt.stats().steals_received, 0u);
 }
 
 TEST(RuntimeCore, ExceptionsInsideTaskAreFineIfCaught) {

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/magic.hpp"
 #include "runtime/runtime.hpp"
 #include "sync/channel.hpp"
 #include "sync/future.hpp"
@@ -148,7 +149,14 @@ TEST(RuntimeStress, RapidRuntimeChurn) {
     st::Runtime rt(1 + static_cast<unsigned>(round % 3));
     int x = 0;
     rt.run([&] {
-      st::fork([&] { x = round; });
+      // Joined: with 2-3 workers the root's continuation can be stolen
+      // at the child's entry poll and finish run() before the child.
+      st::JoinCounter jc(1);
+      st::fork([&] {
+        x = round;
+        jc.finish();
+      });
+      jc.join();
     });
     EXPECT_EQ(x, round);
   }
@@ -190,6 +198,24 @@ TEST(RuntimeStress, StealServedEventsBalanceReceivedCounters) {
     stu::trace_set_mask(saved_mask);
   }
   stu::trace_sink_clear();  // drop this test's records from the global sink
+}
+
+TEST(RuntimeStress, EveryStealAttemptHasOneOutcome) {
+  // An attempt is a negotiation the thief posted (a lost port CAS is not
+  // one), and each ends exactly once: served, rejected by the victim, or
+  // withdrawn (cancelled) by the thief.  magic's flat fork loop over
+  // polling leaves produces all three under contention.
+  st::Runtime rt(4);
+  long result = 0;
+  rt.run([&] { result = apps::magic::run_st(1); });
+  EXPECT_EQ(result, apps::magic::seq(1));
+  // The thief counts an attempt together with its outcome, so the
+  // identity holds in every snapshot, not only at quiescence.
+  const st::RuntimeStats s = rt.stats();
+  EXPECT_GT(s.steal_attempts, 0u);
+  EXPECT_EQ(s.steal_attempts, s.steals_received + s.steals_rejected + s.steals_cancelled)
+      << "received " << s.steals_received << " rejected " << s.steals_rejected
+      << " cancelled " << s.steals_cancelled;
 }
 
 TEST(RuntimeStress, MixedSynchronizationDag) {

@@ -95,6 +95,20 @@ TEST(LogHistogram, PercentilesWithinQuantizationError) {
   EXPECT_NEAR(s.p99 / exact(0.99), 1.0, 0.15);
 }
 
+TEST(LogHistogram, QuantilesStayWithinExactMinMax) {
+  // One sample near either edge of a wide bucket: the bucket midpoint
+  // lies outside the observed range, and the quantiles must not.
+  const std::size_t b = LogHistogram::bucket_of(140000);
+  for (std::uint64_t v : {LogHistogram::bucket_hi(b) - 1, LogHistogram::bucket_lo(b) + 1}) {
+    LogHistogram h;
+    h.record(v);
+    const stu::Summary s = h.snapshot().summarize();
+    EXPECT_EQ(s.median, static_cast<double>(v));
+    EXPECT_EQ(s.p90, static_cast<double>(v));
+    EXPECT_EQ(s.p99, static_cast<double>(v));
+  }
+}
+
 TEST(LogHistogram, MergeEqualsUnion) {
   LogHistogram a, b, all;
   for (std::uint64_t v = 1; v < 1000; v += 3) {

@@ -17,6 +17,7 @@
 #include "runtime/context.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/stacklet.hpp"
+#include "sync/future.hpp"
 #include "sync/join_counter.hpp"
 #include "util/max_heap.hpp"
 #include "util/metrics.hpp"
@@ -45,7 +46,7 @@ struct PingPongCtx {
   bool stop = false;
 };
 
-void pingpong_coro(void* msg, void* arg) {
+st::ContextExit pingpong_coro(void* msg, void* arg) {
   st::run_switch_msg(static_cast<st::SwitchMsg*>(msg));
   auto* pp = static_cast<PingPongCtx*>(arg);
   for (;;) st::ctx_swap(pp->coro_ctx, pp->main_ctx.sp, nullptr);
@@ -166,6 +167,55 @@ void BM_ForkJoinCounter(benchmark::State& state) {
 }
 BENCHMARK(BM_ForkJoinCounter);
 
+// -- fork/join down a fib-shaped tree -------------------------------------
+// BM_ForkFastPath's flat loop never returns past a fork, so it cannot see
+// what a fork's exit does to the return-stack buffer; in a recursion every
+// parent frame returns through the frames above it after its children
+// exit, and each stale RSB entry a fork leaves behind costs a mispredicted
+// return there.  Reported per fork (fib(n+1) - 1 of them per tree).
+long tree_fib(int n) {
+  if (n < 2) return n;
+  long a = 0;
+  st::JoinCounter jc(1);
+  st::fork([&a, n, &jc] {
+    a = tree_fib(n - 1);
+    jc.finish();
+  });
+  const long b = tree_fib(n - 2);
+  jc.join();
+  return a + b;
+}
+
+void BM_ForkJoinTree(benchmark::State& state) {
+  constexpr int kDepth = 16;
+  long forks = 0;
+  st::Runtime rt(1);
+  rt.run([&] {
+    forks = tree_fib(kDepth + 1) - 1;  // also warms the stacklet region
+    for (auto _ : state) benchmark::DoNotOptimize(tree_fib(kDepth));
+  });
+  state.counters["per_fork"] = benchmark::Counter(
+      static_cast<double>(forks),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ForkJoinTree);
+
+// -- the future call: spawn + get ------------------------------------------
+// One cell allocation, two handle owners, one set() exchange and the get()
+// fast path (the child finishes first under LIFO).
+void BM_SpawnGet(benchmark::State& state) {
+  st::Runtime rt(1);
+  rt.run([&] {
+    long sum = 0;
+    for (auto _ : state) {
+      st::Future<long> f = st::spawn([] { return 1L; });
+      sum += f.get();
+    }
+    benchmark::DoNotOptimize(sum);
+  });
+}
+BENCHMARK(BM_SpawnGet);
+
 // -- suspend + deferred resume round trip ----------------------------------
 void BM_SuspendResume(benchmark::State& state) {
   st::Runtime rt(1);
@@ -198,6 +248,9 @@ void BM_CilkstyleSpawnSync(benchmark::State& state) {
 BENCHMARK(BM_CilkstyleSpawnSync);
 
 // -- stacklet allocation (the per-fork storage cost) -----------------------
+// release() is the cross-worker path a migrated child's completion takes
+// (retire mark + shared counter RMW); a child finishing on its home
+// worker pays release_local() instead (pop the top slot, no RMW).
 void BM_StackletAllocRelease(benchmark::State& state) {
   st::StackRegion region(64 * 1024, 256);
   for (auto _ : state) {
@@ -206,6 +259,15 @@ void BM_StackletAllocRelease(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StackletAllocRelease);
+
+void BM_StackletAllocReleaseLocal(benchmark::State& state) {
+  st::StackRegion region(64 * 1024, 256);
+  for (auto _ : state) {
+    st::Stacklet* s = region.allocate();
+    region.release_local(s);
+  }
+}
+BENCHMARK(BM_StackletAllocReleaseLocal);
 
 // -- exported-set heap (insert + pop-max, the shrink path) ----------------
 void BM_ExportedSetHeap(benchmark::State& state) {

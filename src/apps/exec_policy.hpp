@@ -49,10 +49,10 @@ struct StExec {
 
   template <typename Body>
   static void par_for(std::size_t begin, std::size_t end, std::size_t grain, Body&& body) {
-    st::JoinCounter jc;
+    const std::size_t chunks = begin < end ? (end - begin + grain - 1) / grain : 0;
+    st::JoinCounter jc(static_cast<long>(chunks));
     for (std::size_t i = begin; i < end; i += grain) {
       const std::size_t hi = std::min(i + grain, end);
-      jc.add();
       st::fork([&body, i, hi, &jc] {
         body(i, hi);
         jc.finish();

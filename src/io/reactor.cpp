@@ -353,8 +353,9 @@ bool wait_on_fd(const std::shared_ptr<FdState>& fs, bool dir_write) {
   w->trace(stu::kTraceIoWait, reinterpret_cast<std::uintptr_t>(&waiter),
            static_cast<std::uint64_t>(fs->fd()));
   if (target != &mine) target->poke_owner();
-  // As in JoinCounter::join, the lock-release edge is recorded before the
-  // suspend whose switch callback performs the real unlock.
+  // The lock-release edge is recorded before the suspend whose switch
+  // callback performs the real unlock: only the ordered switch separates
+  // the two.
   hb::release(&fs->lock, stu::kSchedHbLock);
   suspend(&waiter.cont,
           [](void* p) { static_cast<stu::Spinlock*>(p)->unlock(); }, &fs->lock);

@@ -4,8 +4,8 @@
 // The STVM interpreter annotates from inside exec_instr; the native
 // runtime annotates at a handful of hand-placed seams instead: the
 // context-handoff edges in suspend/resume/restart, the join-counter
-// lock sections, the poll-word transitions, the cross-worker stacklet
-// retire counter, and the reactor's fd-waiter slots.  Everything here
+// and future-cell RMWs, the poll-word transitions, the cross-worker
+// stacklet retire counter, and the reactor's fd-waiter slots.  Everything here
 // compiles to a relaxed flag test when annotation is off
 // (ST_SCHED_ANNOTATE / sched_set_annotate), so the seams may sit on
 // warm paths.
@@ -35,7 +35,7 @@ namespace st::hb {
 /// (the STVM uses its retired-instruction count there instead; src
 /// disambiguates).  Append-only.
 enum Site : std::uint64_t {
-  kSiteJoinCount = 1,        ///< JoinCounter::n_
+  kSiteJoinCount = 1,        ///< retired: join counts carry kSchedHbJoin edges
   kSiteJoinWaiter = 2,       ///< JoinCounter::waiting_
   kSitePollWord = 3,         ///< Worker poll word (atomic protocol)
   kSiteStackletCounter = 4,  ///< StackRegion cross-worker retire count
@@ -67,6 +67,18 @@ inline void release(const void* token, stu::SchedHbClass cls) noexcept {
 inline void acquire(const void* token, stu::SchedHbClass cls) noexcept {
   if (stu::sched_annotating()) [[unlikely]] {
     stu::sched_hb_acquire(self(), stu::kTraceSrcRuntime,
+                          reinterpret_cast<std::uintptr_t>(token), cls);
+  }
+}
+
+/// An atomic read-modify-write on `token`: joins every earlier record's
+/// history and passes it on, like a lock handoff (one clock hold, see
+/// stu::sched_hb_acq_rel).  Record it *before* the RMW, so that it
+/// precedes in decision order whatever observes the RMW's result; the
+/// observer then records a plain acquire *after* its own RMW or load.
+inline void acq_rel(const void* token, stu::SchedHbClass cls) noexcept {
+  if (stu::sched_annotating()) [[unlikely]] {
+    stu::sched_hb_acq_rel(self(), stu::kTraceSrcRuntime,
                           reinterpret_cast<std::uintptr_t>(token), cls);
   }
 }

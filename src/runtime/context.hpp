@@ -71,32 +71,64 @@ struct SwitchMsg {
 #endif
 };
 
+/// What a context entry function returns: the context to continue and
+/// the msg it receives.  Returned in rax:rdx, which the callers' common
+/// exit tail (context_x86_64.S) consumes directly.
+struct ContextExit {
+  void* sp;  ///< a context saved by st_ctx_swap or st_ctx_fork
+  void* msg; ///< SwitchMsg* delivered there, or nullptr
+};
+
+// Under TSan, the function that announces a fiber switch and then
+// *returns* must have no function-exit hook: that hook would pop the
+// destination fiber's shadow stack.  GCC's no_sanitize("thread") drops
+// the entry/exit hooks with the rest; clang keeps them unless told to
+// disable all sanitizer instrumentation.
+#if ST_TSAN_FIBERS && defined(__clang__)
+#define ST_NO_TSAN_FRAME __attribute__((disable_sanitizer_instrumentation))
+#elif ST_TSAN_FIBERS
+#define ST_NO_TSAN_FRAME __attribute__((no_sanitize("thread")))
+#else
+#define ST_NO_TSAN_FRAME
+#endif
+
 extern "C" {
 
 /// Saves the current context into *save_sp and continues at target_sp
-/// (previously produced by st_ctx_swap or st_ctx_prepare).  Returns, in
-/// the *resumed* context, the msg pointer passed by whoever switched back.
+/// (previously produced by st_ctx_swap, st_ctx_fork or st_ctx_prepare).
+/// Returns, in the *resumed* context, the msg pointer passed by whoever
+/// switched back.
 void* st_ctx_swap(void** save_sp, void* target_sp, void* msg) noexcept;
 
 /// Entry signature for a fresh context: fn(msg, arg).  `msg` is the
 /// SwitchMsg* carried by the switch that first entered the context; `arg`
-/// is the pointer given to st_ctx_prepare.  fn must never return -- a
-/// finished computation leaves by switching to another context.
-using ContextEntry = void (*)(void* msg, void* arg);
+/// is the pointer given to st_ctx_prepare / st_ctx_fork.  A finished
+/// computation *returns* the context to continue: the caller's tail
+/// adopts exit.sp, restores that context's callee-saved registers and
+/// resumes it with exit.msg as the apparent return value of its
+/// st_ctx_swap / st_ctx_fork.  This stack is dead from the `ret` of fn
+/// on, so exit.msg must not live on it.
+using ContextEntry = ContextExit (*)(void* msg, void* arg);
 
 /// Fused "save me + enter a fresh child" switch, the fork fast path:
 /// saves the current context into *save_sp (same layout as st_ctx_swap),
 /// adopts the empty stack ending at stack_top and calls fn(nullptr, arg)
-/// directly -- no st_ctx_prepare frame, no boot trampoline.  fn must
-/// never return.  When the saved context is resumed by a later
-/// st_ctx_swap, st_ctx_fork appears to return the carried msg.
+/// directly -- no st_ctx_prepare frame, no boot trampoline.  When fn
+/// returns, st_ctx_fork switches to the returned context (see
+/// ContextEntry).  In the common case that context is the one saved
+/// here, so the `ret` lands at this call site and every call on the
+/// fork path meets its own return -- the return-stack buffer stays in
+/// step.  When the saved context is resumed by anyone, st_ctx_fork
+/// appears to return the carried msg.
 void* st_ctx_fork(void** save_sp, void* stack_top, ContextEntry fn, void* arg) noexcept;
 
 }  // extern "C"
 
 /// Builds an initial context on [stack_base, stack_base+size): returns the
 /// sp to pass to st_ctx_swap so that execution enters fn(msg, arg) on the
-/// new stack with correct SysV alignment.
+/// new stack with correct SysV alignment (through st_ctx_boot, whose
+/// exit tail is st_ctx_fork's: fn's return switches to the context it
+/// names).
 void* st_ctx_prepare(void* stack_base, std::size_t size, ContextEntry fn, void* arg) noexcept;
 
 /// Convenience wrappers.

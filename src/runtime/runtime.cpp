@@ -103,23 +103,37 @@ inline void record_resume_latency(Worker* w, Continuation* c) noexcept {
   }
 }
 
-/// Completion of a forked computation.  Out of line so that its tl_worker
-/// read resolves the TLS address afresh: the computation may have
-/// migrated, and an address child_entry computed before invoke() would
-/// name the old OS thread's worker.
-[[noreturn, gnu::noinline]] void complete_child(Stacklet* s) {
+/// Completion of a forked computation: picks the context to continue --
+/// the parent continuation at the fork-deque head, or the scheduler when
+/// the parent was stolen or this computation was dispatched from the
+/// scheduler loop.  Out of line so that its tl_worker read resolves the
+/// TLS address afresh: the computation may have migrated, and an address
+/// child_entry computed before invoke() would name the old OS thread's
+/// worker.  Under TSan this announces the fiber switch and then returns,
+/// so it carries no function-exit hook (ST_NO_TSAN_FRAME).
+[[gnu::noinline]] ST_NO_TSAN_FRAME ContextExit complete_child(Stacklet* s) {
   Worker* w = tl_worker;
   ++w->stats().tasks_completed;
   w->trace(stu::kTraceTaskComplete, reinterpret_cast<std::uintptr_t>(s));
-  // The stacklet must outlive this stack; the destination context releases
-  // it (the msg lives on this dying stack, which stays mapped and
-  // unreusable until the release actually runs).
-  SwitchMsg release{&release_stacklet_cb, s};
-  detail::finish_current(&release);
+  // The stacklet must outlive this stack; the destination context
+  // releases it through the header-resident message.
+  s->exit_msg.run = &release_stacklet_cb;
+  s->exit_msg.arg = s;
+  Continuation* parent =
+      w->fork_deque().empty() ? nullptr : w->fork_deque().pop_head();
+  void* target = parent != nullptr ? parent->sp : w->scheduler_context().sp;
+#if ST_TSAN_FIBERS
+  s->exit_msg.dead_fiber = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(
+      parent != nullptr ? parent->fiber : w->scheduler_context().fiber, 0);
+#endif
+  return {target, &s->exit_msg};
 }
 
-/// Entry point of every forked computation (reached through st_ctx_boot).
-void child_entry(void* raw_msg, void* arg) {
+/// Entry point of every forked computation: called by st_ctx_fork on the
+/// child's fresh stacklet (the root: by st_ctx_boot).  Its return is the
+/// switch to the next context (ContextEntry).
+ST_NO_TSAN_FRAME ContextExit child_entry(void* raw_msg, void* arg) {
   run_switch_msg(static_cast<SwitchMsg*>(raw_msg));
   auto* s = static_cast<Stacklet*>(arg);
   // The fork point's steal poll.  It sits here, not in fork_impl, because
@@ -130,7 +144,7 @@ void child_entry(void* raw_msg, void* arg) {
   Worker* w = tl_worker;
   if (w->poll_word() & Worker::kPollServe) [[unlikely]] w->poll_slow();
   s->invoke(s->closure);
-  complete_child(s);
+  return complete_child(s);
 }
 
 }  // namespace
@@ -140,29 +154,6 @@ void child_entry(void* raw_msg, void* arg) {
 // ---------------------------------------------------------------------
 
 namespace detail {
-
-[[noreturn]] void finish_current(SwitchMsg* msg) {
-  Worker* w = tl_worker;
-  void* target;
-#if ST_TSAN_FIBERS
-  msg->dead_fiber = __tsan_get_current_fiber();
-#endif
-  if (!w->fork_deque().empty()) {
-    Continuation* p = w->fork_deque().pop_head();
-    target = p->sp;
-#if ST_TSAN_FIBERS
-    __tsan_switch_to_fiber(p->fiber, 0);
-#endif
-  } else {
-    target = w->scheduler_context().sp;
-#if ST_TSAN_FIBERS
-    __tsan_switch_to_fiber(w->scheduler_context().fiber, 0);
-#endif
-  }
-  void* dummy;
-  st_ctx_swap(&dummy, target, msg);
-  __builtin_unreachable();
-}
 
 void fork_impl(void (*invoke)(void*), void* closure, Stacklet* s) {
   Worker* w = tl_worker;

@@ -138,6 +138,9 @@ std::size_t StackRegion::reclaim_top() noexcept {
     ++reclaimed;
   }
   if (reclaimed > 0) {
+    // The acquire loads above observed other workers' kRetired marks:
+    // the slots' next users happen-after the dying stacklets' last uses.
+    hb::access(&released_, stu::kSchedAccessAtomic, hb::kSiteStackletCounter);
     tick(reclaimed_, reclaimed);
     if (trim_slots_ > 0 && mapped_top_ >= t + trim_slots_) trim(t);
   }

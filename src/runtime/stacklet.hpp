@@ -44,6 +44,8 @@
 #include <memory>
 #include <vector>
 
+#include "runtime/context.hpp"
+
 namespace st {
 
 class StackRegion;
@@ -59,6 +61,12 @@ struct Stacklet {
   std::size_t bytes;    ///< total slot size including this header
   void (*invoke)(void*) = nullptr;  ///< type-erased entry for the closure
   void* closure = nullptr;          ///< points into closure_area()
+  /// The message a finished computation hands to the context it exits to
+  /// (release this stacklet).  It lives here, off the machine stack:
+  /// between the entry function's `ret` and the exit tail's stack switch
+  /// the stack below %rsp is dead, and a signal delivered there would
+  /// overwrite a message kept in the entry function's frame.
+  SwitchMsg exit_msg;
 
   char* closure_area() noexcept { return reinterpret_cast<char*>(this + 1); }
   static constexpr std::size_t kClosureBytes = 256;

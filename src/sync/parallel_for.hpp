@@ -20,10 +20,9 @@ template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain, Body&& body) {
   if (begin >= end) return;
   if (grain == 0) grain = 1;
-  JoinCounter jc;
+  JoinCounter jc(static_cast<long>((end - begin + grain - 1) / grain));
   for (std::size_t lo = begin; lo < end; lo += grain) {
     const std::size_t hi = std::min(lo + grain, end);
-    jc.add();
     fork([&body, lo, hi, &jc] {
       for (std::size_t i = lo; i < hi; ++i) body(i);
       jc.finish();

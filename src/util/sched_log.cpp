@@ -277,6 +277,26 @@ void sched_hb_acquire(std::uint16_t worker, TraceSource src, std::uint64_t token
                static_cast<std::uint64_t>(cls), ring);
 }
 
+void sched_hb_acq_rel(std::uint16_t worker, TraceSource src, std::uint64_t token,
+                      SchedHbClass cls, TraceRing* ring) {
+  SchedState& s = state();
+  std::uint64_t seq;
+  {
+    std::lock_guard<std::mutex> g(s.lock);
+    for (const SchedKind kind : {kSchedHbAcquire, kSchedHbRelease}) {
+      seq = ++s.clock;
+      s.recorded.push_back(SchedDecision{seq, token, static_cast<std::uint64_t>(cls),
+                                         static_cast<std::uint16_t>(kind), worker,
+                                         static_cast<std::uint32_t>(src)});
+    }
+  }
+  s.recorded_n.v.fetch_add(2, std::memory_order_relaxed);
+  if (ring != nullptr && trace_enabled(kTraceSched)) {
+    ring->emit(kTraceSched, worker, src, seq - 1, kSchedHbAcquire);
+    ring->emit(kTraceSched, worker, src, seq, kSchedHbRelease);
+  }
+}
+
 void sched_set_off() {
   g_sched_mode.store(kSchedModeOff, std::memory_order_relaxed);
   SchedState& s = state();

@@ -224,6 +224,12 @@ void sched_hb_release(std::uint16_t worker, TraceSource src, std::uint64_t token
                       SchedHbClass cls, TraceRing* ring = nullptr);
 void sched_hb_acquire(std::uint16_t worker, TraceSource src, std::uint64_t token,
                       SchedHbClass cls, TraceRing* ring = nullptr);
+/// A read-modify-write on a synchronization token: an acquire and a
+/// release recorded back to back under one clock hold, so no other
+/// thread's edge on the token can land between them (the release then
+/// carries every earlier releaser's clock, as the RMW chain does).
+void sched_hb_acq_rel(std::uint16_t worker, TraceSource src, std::uint64_t token,
+                      SchedHbClass cls, TraceRing* ring = nullptr);
 
 /// Programmatic control (tools and tests; overrides the env config).
 void sched_set_off();

@@ -15,7 +15,7 @@ struct PingPong {
   std::vector<int> trace;
 };
 
-void coro_body(void* msg, void* arg) {
+st::ContextExit coro_body(void* msg, void* arg) {
   st::run_switch_msg(static_cast<st::SwitchMsg*>(msg));
   auto* pp = static_cast<PingPong*>(arg);
   pp->trace.push_back(1);
@@ -23,6 +23,7 @@ void coro_body(void* msg, void* arg) {
   pp->trace.push_back(3);
   st::ctx_swap(pp->coro_ctx, pp->main_ctx.sp, nullptr);
   ADD_FAILURE() << "coroutine resumed after its final yield";
+  return {pp->main_ctx.sp, nullptr};
 }
 
 TEST(Context, PingPongPreservesControlFlow) {
@@ -47,12 +48,13 @@ struct MsgProbe {
 
 void msg_action(void* arg) { ++static_cast<MsgProbe*>(arg)->actions_run; }
 
-void msg_coro(void* msg, void* arg) {
+st::ContextExit msg_coro(void* msg, void* arg) {
   auto* probe = static_cast<MsgProbe*>(arg);
   // The message handed to the very first entry must be delivered.
   st::run_switch_msg(static_cast<st::SwitchMsg*>(msg));
   st::ctx_swap(probe->coro_ctx, probe->main_ctx.sp, nullptr);
   ADD_FAILURE() << "resumed after final yield";
+  return {probe->main_ctx.sp, nullptr};
 }
 
 TEST(Context, SwitchMsgRunsOnDestination) {
@@ -73,7 +75,7 @@ struct RegTorture {
   st::MachineContext coro_ctx;
 };
 
-void torture_coro(void* msg, void* arg) {
+st::ContextExit torture_coro(void* msg, void* arg) {
   st::run_switch_msg(static_cast<st::SwitchMsg*>(msg));
   auto* t = static_cast<RegTorture*>(arg);
   // Clobber everything clobberable.
@@ -81,6 +83,7 @@ void torture_coro(void* msg, void* arg) {
   for (long i = 0; i < 64; ++i) sink += i * i;
   st::ctx_swap(t->coro_ctx, t->main_ctx.sp, nullptr);
   ADD_FAILURE() << "resumed after final yield";
+  return {t->main_ctx.sp, nullptr};
 }
 
 TEST(Context, CalleeSavedRegistersSurvive) {
@@ -98,6 +101,57 @@ TEST(Context, CalleeSavedRegistersSurvive) {
   EXPECT_EQ(d, 0x4444);
   EXPECT_EQ(e, 0x5555);
   EXPECT_EQ(f, 0x6666);
+}
+
+// An entry function that returns names the context to continue: the
+// exit tail (shared by st_ctx_boot and st_ctx_fork) switches there and
+// delivers the msg as the apparent return value of that context's switch.
+struct ExitProbe {
+  st::MachineContext main_ctx;
+  st::SwitchMsg msg;
+  int actions_run = 0;
+  int entered = 0;
+};
+
+void exit_action(void* arg) { ++static_cast<ExitProbe*>(arg)->actions_run; }
+
+st::ContextExit returning_entry(void* msg, void* arg) {
+  st::run_switch_msg(static_cast<st::SwitchMsg*>(msg));
+  auto* probe = static_cast<ExitProbe*>(arg);
+  ++probe->entered;
+  return {probe->main_ctx.sp, &probe->msg};
+}
+
+TEST(Context, PreparedEntryReturnSwitchesToNamedContext) {
+  ExitProbe probe;
+  probe.msg = st::SwitchMsg{&exit_action, &probe};
+  auto stack = std::make_unique<char[]>(64 * 1024);
+  void* sp = st::st_ctx_prepare(stack.get(), 64 * 1024, &returning_entry, &probe);
+  st::SwitchMsg* back = st::ctx_swap(probe.main_ctx, sp, nullptr);
+  EXPECT_EQ(back, &probe.msg);
+  st::run_switch_msg(back);
+  EXPECT_EQ(probe.entered, 1);
+  EXPECT_EQ(probe.actions_run, 1);
+}
+
+TEST(Context, ForkEntryReturnResumesTheForker) {
+  ExitProbe probe;
+  probe.msg = st::SwitchMsg{&exit_action, &probe};
+  auto stack = std::make_unique<char[]>(64 * 1024);
+  long a = 0x1111, b = 0x2222, c = 0x3333, d = 0x4444, e = 0x5555, f = 0x6666;
+  asm volatile("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d), "+r"(e), "+r"(f));
+  // The entry returns the forker's own saved context: st_ctx_fork's tail
+  // `ret`s straight back to this call site.
+  for (int i = 0; i < 3; ++i) {
+    void* back = st::st_ctx_fork(&probe.main_ctx.sp, stack.get() + 64 * 1024,
+                                 &returning_entry, &probe);
+    EXPECT_EQ(back, &probe.msg);
+    st::run_switch_msg(static_cast<st::SwitchMsg*>(back));
+  }
+  asm volatile("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d), "+r"(e), "+r"(f));
+  EXPECT_EQ(probe.entered, 3);
+  EXPECT_EQ(probe.actions_run, 3);
+  EXPECT_EQ(a + b + c + d + e + f, 0x1111 + 0x2222 + 0x3333 + 0x4444 + 0x5555 + 0x6666);
 }
 
 TEST(Context, PrepareAlignsStackTop) {

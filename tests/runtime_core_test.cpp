@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -258,6 +259,133 @@ TEST(RuntimeCore, FlatForkLoopLeavesAreStolen) {
     ASSERT_EQ(done.load(), 8);
   }
   EXPECT_GT(rt.stats().steals_received, 0u);
+}
+
+// -- the rare exits of a forked child --------------------------------------
+// A child normally returns through st_ctx_fork's tail straight into its
+// own parent.  These cover the other targets the tail must reach.
+
+TEST(RuntimeCore, ChildExitsToSchedulerWhenParentStolenAtEntryPoll) {
+  // Children that neither poll nor suspend: the parent can move only at
+  // a child's entry poll, and a child whose parent moved finds its fork
+  // deque empty and exits to its worker's scheduler context.
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw < 2) GTEST_SKIP() << "needs at least 2 hardware threads";
+  st::Runtime rt(std::min(4u, hw));
+  constexpr int kKids = 8;
+  int moved = 0;
+  for (int round = 0; round < 50 && moved == 0; ++round) {
+    std::atomic<unsigned> child_worker[kKids];
+    unsigned parent_worker[kKids];
+    std::atomic<int> done{0};
+    rt.run([&] {
+      st::JoinCounter jc(kKids);
+      for (int i = 0; i < kKids; ++i) {
+        st::fork([&, i] {
+          child_worker[i].store(st::worker_id(), std::memory_order_relaxed);
+          const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(500);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+          done.fetch_add(1, std::memory_order_relaxed);
+          jc.finish();
+        });
+        parent_worker[i] = st::worker_id();
+      }
+      jc.join();
+    });
+    ASSERT_EQ(done.load(), kKids);
+    for (int i = 0; i < kKids; ++i) {
+      if (child_worker[i].load() != parent_worker[i]) ++moved;
+    }
+  }
+  EXPECT_GT(moved, 0) << "no parent was ever stolen at a child's entry poll";
+  // The workers that took the scheduler exit keep running work.
+  long sum = 0;
+  rt.run([&] { sum = pfib(15); });
+  EXPECT_EQ(sum, 610);
+}
+
+TEST(RuntimeCore, ChildResumedElsewhereCompletesThroughForkTail) {
+  // Child A suspends on worker X.  Its sibling B holds X (polling) until
+  // the root continuation is stolen; the thief resumes A onto its own
+  // readyq and joins, so A runs -- and finishes -- on the thief's OS
+  // thread while X is still busy in B.  A's return then goes through the
+  // st_ctx_fork tail it entered by on X.  When the root is instead
+  // stolen at A's entry poll, it ends up back on A's worker and A
+  // finishes where it began; rounds repeat until the migrating schedule
+  // has been seen a few times.  (Worker ids, not thread ids:
+  // pthread_self is a const function whose result the compiler may reuse
+  // across the suspension.)
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw < 2) GTEST_SKIP() << "needs at least 2 hardware threads";
+  st::Runtime rt(2);
+  int migrated = 0;
+  for (int round = 0; round < 50 && migrated < 4; ++round) {
+    unsigned a_start = 0, a_end = 0;
+    std::atomic<bool> root_moved{false}, a_done{false};
+    rt.run([&] {
+      st::JoinCounter jc(2);
+      st::Continuation c;
+      st::fork([&] {  // A
+        a_start = st::worker_id();
+        st::suspend(&c);
+        a_end = st::worker_id();
+        a_done.store(true, std::memory_order_release);
+        jc.finish();
+      });
+      st::fork([&] {  // B
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!root_moved.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline) {
+          st::poll();
+        }
+        if (root_moved.load(std::memory_order_acquire)) {
+          while (!a_done.load(std::memory_order_acquire)) std::this_thread::yield();
+        }
+        jc.finish();
+      });
+      root_moved.store(true, std::memory_order_release);
+      st::resume(&c);
+      jc.join();
+    });
+    EXPECT_TRUE(a_done.load());
+    if (a_start != a_end) ++migrated;
+  }
+  EXPECT_EQ(migrated, 4);
+}
+
+TEST(RuntimeCore, RootExitsFromAnotherWorkerThroughBootTail) {
+  // The root moves at its child's poll and returns on the thief: its exit
+  // is st_ctx_boot's tail on an OS thread other than the one it booted on.
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw < 2) GTEST_SKIP() << "needs at least 2 hardware threads";
+  int migrated = 0;
+  {
+    st::Runtime rt(2);
+    for (int round = 0; round < 8; ++round) {
+      auto root_moved = std::make_shared<std::atomic<bool>>(false);
+      auto child_done = std::make_shared<std::atomic<bool>>(false);
+      unsigned start = 0, end = 0;
+      rt.run([&] {
+        start = st::worker_id();
+        st::fork([root_moved, child_done] {
+          const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!root_moved->load(std::memory_order_acquire) &&
+                 std::chrono::steady_clock::now() < deadline) {
+            st::poll();
+          }
+          child_done->store(true, std::memory_order_release);
+        });
+        root_moved->store(true, std::memory_order_release);
+        end = st::worker_id();
+      });
+      if (start != end) ++migrated;
+      while (!child_done->load(std::memory_order_acquire)) std::this_thread::yield();
+    }
+    // Plain roots, before and after the migrated ones, still exit cleanly.
+    for (int i = 0; i < 100; ++i) rt.run([] {});
+  }
+  EXPECT_EQ(migrated, 8);
 }
 
 TEST(RuntimeCore, ExceptionsInsideTaskAreFineIfCaught) {

@@ -1,4 +1,4 @@
-// lint_suspend_safety: a source lint for the two TLS hazards of a
+// lint_suspend_safety: a source lint for the TLS hazards of a
 // runtime whose frames migrate between OS threads (docs/ANALYSIS.md,
 // "Suspend safety").
 //
@@ -18,6 +18,15 @@
 //      suspension marker (`suspend(`, `st_ctx_swap(`, `wait_on_fd(`, or
 //      an `io::` blocking op) in the same function body unless rebound
 //      from `tl_worker` first.
+//
+//   3. Re-reading `tl_worker` is no cure inside the same function: the
+//      compiler treats the thread pointer as fixed for a whole function
+//      body and may reuse a TLS address computed before the switch (the
+//      forked child's completion read its old thread's worker this way).
+//      Rule: a body not marked `noinline` may not read `tl_worker` on
+//      both sides of a migration point (`->invoke(`, `suspend(`,
+//      `st_ctx_swap(`, `st_ctx_fork(`); the later read belongs in a
+//      noinline function (runtime.cpp's complete_child).
 //
 // The scanner is a character-level pass: comments and string/char
 // literals are stripped (newlines preserved), brace depth is tracked,
@@ -109,6 +118,12 @@ const char* const kSuspendMarkers[] = {
     "suspend", "st_ctx_swap", "wait_on_fd",
 };
 
+/// Calls after which the same function body may run on another OS
+/// thread (rule 3); `invoke` counts only as `->invoke(`.
+const char* const kMigrationMarkers[] = {
+    "suspend", "st_ctx_swap", "st_ctx_fork", "invoke",
+};
+
 /// Blocking io:: entry points (each suspends internally on would-block).
 const char* const kIoMarkers[] = {
     "read", "write", "accept", "connect", "sleep_until", "sleep_for",
@@ -132,6 +147,16 @@ void scan(const std::string& file, const std::string& raw, std::vector<Violation
   struct Bind { int line = 0; int epoch = 0; };
   std::map<std::string, Bind> cached;
   int epoch = 0;
+  // Rule 3, per function body: migration points crossed, and the count
+  // at the body's first tl_worker read (-1: none yet).
+  int migrations = 0;
+  int first_read = -1;
+  bool tls_flagged = false;
+  const auto reset_function = [&] {
+    cached.clear();
+    first_read = -1;
+    tls_flagged = false;
+  };
 
   const auto in_noinline = [&] {
     return !stack.empty() && stack.back().noinline;
@@ -161,10 +186,10 @@ void scan(const std::string& file, const std::string& raw, std::vector<Violation
     }
     if (c == '}') {
       if (!stack.empty()) {
-        if (stack.back().function) cached.clear();
+        if (stack.back().function) reset_function();
         stack.pop_back();
       }
-      if (stack.empty()) cached.clear();
+      if (stack.empty()) reset_function();
       header.clear();
       continue;
     }
@@ -194,6 +219,17 @@ void scan(const std::string& file, const std::string& raw, std::vector<Violation
         break;
       }
     }
+    for (const char* m : kMigrationMarkers) {
+      if (word_at(text, i, m)) {
+        const bool arrow = i >= 2 && text[i - 1] == '>' && text[i - 2] == '-';
+        std::size_t j = skip_ws(text, i + std::strlen(m));
+        if (j < text.size() && text[j] == '(' &&
+            (std::strcmp(m, "invoke") != 0 || arrow)) {
+          ++migrations;
+        }
+        break;
+      }
+    }
     if (word_at(text, i, "io")) {
       std::size_t j = i + 2;
       if (j + 1 < text.size() && text[j] == ':' && text[j + 1] == ':') {
@@ -204,6 +240,21 @@ void scan(const std::string& file, const std::string& raw, std::vector<Violation
       }
     }
     if (word_at(text, i, "tl_worker")) {
+      // Rule 3: a read (not `tl_worker = ...`) in an inlinable body.
+      std::size_t a = skip_ws(text, i + std::strlen("tl_worker"));
+      const bool write = a + 1 < text.size() && text[a] == '=' && text[a + 1] != '=';
+      if (!write && !in_noinline()) {
+        if (first_read < 0) {
+          first_read = migrations;
+        } else if (migrations > first_read && !tls_flagged) {
+          tls_flagged = true;
+          out->push_back({file, line,
+                          "tl_worker read on both sides of a migration point "
+                          "in a body that may be inlined: the TLS address may "
+                          "be reused from before the switch; re-read it in a "
+                          "noinline function"});
+        }
+      }
       // Is this a binding `name = tl_worker`?  Walk back over `=` to the
       // identifier being assigned.
       std::size_t b = i;
@@ -233,7 +284,7 @@ void scan(const std::string& file, const std::string& raw, std::vector<Violation
         std::ostringstream msg;
         msg << "'" << name << "' was cached from tl_worker (line " << bind.line
             << ") and is used after a suspension point; rebind it from "
-               "tl_worker after resuming";
+               "tl_worker after resuming (in a noinline function: rule 3)";
         out->push_back({file, line, msg.str()});
         break;
       }
@@ -264,9 +315,9 @@ int run_self_test() {
       {"cached worker used after suspend",
        "void f(Continuation* c) { Worker* w = tl_worker; suspend(c, nullptr,\n"
        "  nullptr); w->trace(1, 2); }\n", 1},
-      {"cached worker rebound after suspend ok",
+      {"cached worker rebound after suspend: re-read in one body (rule 3)",
        "void f(Continuation* c) { Worker* w = tl_worker; suspend(c, nullptr,\n"
-       "  nullptr); w = tl_worker; w->trace(1, 2); }\n", 0},
+       "  nullptr); w = tl_worker; w->trace(1, 2); }\n", 1},
       {"cached worker before suspend ok",
        "void f(Continuation* c) { Worker* w = tl_worker; w->trace(1, 2);\n"
        "  suspend(c, nullptr, nullptr); }\n", 0},
@@ -276,6 +327,31 @@ int run_self_test() {
       {"nested control flow keeps the noinline scope",
        "__attribute__((noinline)) int f() { if (g()) { return errno; }\n"
        "  return 0; }\n", 0},
+      {"completion re-reads tl_worker after invoke in the entry body",
+       "void child_entry(void* m, void* arg) {\n"
+       "  auto* s = static_cast<Stacklet*>(arg);\n"
+       "  Worker* w = tl_worker;\n"
+       "  if (w->poll_word() & Worker::kPollServe) w->poll_slow();\n"
+       "  s->invoke(s->closure);\n"
+       "  Worker* done = tl_worker;\n"
+       "  ++done->stats().tasks_completed;\n"
+       "}\n", 1},
+      {"completion split into a noinline function ok",
+       "[[gnu::noinline]] void complete_child(Stacklet* s) {\n"
+       "  Worker* w = tl_worker; ++w->stats().tasks_completed; }\n"
+       "void child_entry(void* m, void* arg) {\n"
+       "  auto* s = static_cast<Stacklet*>(arg);\n"
+       "  Worker* w = tl_worker;\n"
+       "  if (w->poll_word() & Worker::kPollServe) w->poll_slow();\n"
+       "  s->invoke(s->closure);\n"
+       "  complete_child(s);\n"
+       "}\n", 0},
+      {"a plain invoke( call is no migration point",
+       "void f(Fn* fn) { Worker* a = tl_worker; invoke(fn); Worker* b =\n"
+       "  tl_worker; (void)a; (void)b; }\n", 0},
+      {"assigning tl_worker is not a read",
+       "void loop(Worker* self) { tl_worker = self; st_ctx_swap(&a, b, c);\n"
+       "  tl_worker = nullptr; }\n", 0},
       {"second function gets a fresh cache",
        "void f() { Worker* w = tl_worker; (void)w; }\n"
        "void g(Continuation* c) { suspend(c, nullptr, nullptr); use(); }\n", 0},

@@ -3,9 +3,10 @@
 // leaf/transitive criterion) and what the augmented epilogues cost in
 // executed instructions -- the ISA-independent analogue of the
 // Figure 17-20 "postprocessing" bars.  A second phase times the same
-// programs under both interpreter engines (switch vs predecoded
-// threaded dispatch), asserting identical architectural instruction
-// counts -- the wall-clock "run phase" CI tracks via --json.
+// programs under every engine (switch, predecoded threaded dispatch and,
+// where available, the JIT), on 1 and 4 virtual workers, asserting
+// identical architectural instruction counts -- the wall-clock "run
+// phase" CI tracks via --json.
 #include <cstdio>
 
 #include "bench/harness.hpp"
@@ -92,10 +93,15 @@ int main(int argc, char** argv) {
     if (with_stdlib) src += "\n" + programs::stdlib();
     return postprocess(assemble(src), /*force_augment_all=*/false);
   };
+  // The x4 cells run the same programs on 4 virtual workers: what the
+  // per-quantum worker switch costs, and (through the instruction-count
+  // gate) that every engine interleaves the workers identically.
   const std::vector<bench::EngineCell> run_cells = {
       {"fib(24)", prog(programs::fib(), false), "main", {24}},
       {"pfib(20)", prog(programs::pfib(), true), "pmain", {20}},
       {"psum(60k)", prog(programs::psum(), true), "psum_main", {60000}},
+      {"pfib(20)x4", prog(programs::pfib(), true), "pmain", {20}, 4},
+      {"psum(60k)x4", prog(programs::psum(), true), "psum_main", {60000}, 4},
   };
   std::printf("\nInterpreter dispatch engines on the same programs\n"
               "(ST_STVM_DISPATCH=switch is the pre-predecode baseline):\n\n");

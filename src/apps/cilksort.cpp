@@ -1,6 +1,9 @@
 #include "apps/cilksort.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 
 #include "apps/common.hpp"
 #include "cilk/cilkstyle.hpp"
@@ -64,20 +67,51 @@ void sort_ck(long* lo, long* hi, long* tmp) {
   merge_halves(lo, mid, hi, tmp);
 }
 
+/// The merge scratch, as large as the input, in its own anonymous
+/// mapping that is unmapped when the sort ends.  A heap buffer this size
+/// would, once glibc has raised its mmap threshold after the first
+/// free, come from the malloc arena of whichever thread runs the sort,
+/// and every arena would keep its freed copy resident.  The kernel
+/// zero-fills the mapping; MAP_POPULATE faults it in up front, as the
+/// old value-initialization did.
+class Scratch {
+ public:
+  explicit Scratch(std::size_t n) : bytes_(n * sizeof(long)) {
+    if (bytes_ == 0) return;
+    int flags = MAP_PRIVATE | MAP_ANONYMOUS;
+#ifdef MAP_POPULATE
+    flags |= MAP_POPULATE;
+#endif
+    void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, flags, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    p_ = static_cast<long*>(p);
+  }
+  ~Scratch() {
+    if (p_ != nullptr) ::munmap(p_, bytes_);
+  }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+  long* data() const { return p_; }
+
+ private:
+  std::size_t bytes_;
+  long* p_ = nullptr;
+};
+
 }  // namespace
 
 void seq(std::vector<long>& data) {
-  std::vector<long> tmp(data.size());
+  Scratch tmp(data.size());
   sort_seq(data.data(), data.data() + data.size(), tmp.data());
 }
 
 void run_st(std::vector<long>& data) {
-  std::vector<long> tmp(data.size());
+  Scratch tmp(data.size());
   sort_st(data.data(), data.data() + data.size(), tmp.data());
 }
 
 void run_ck(std::vector<long>& data) {
-  std::vector<long> tmp(data.size());
+  Scratch tmp(data.size());
   sort_ck(data.data(), data.data() + data.size(), tmp.data());
 }
 

@@ -77,6 +77,12 @@ static_assert(offsetof(JitState, pc) == 16, "layout baked into emitted code");
 static_assert(offsetof(JitState, exit_cold) == 24, "layout baked into emitted code");
 static_assert(offsetof(JitState, maxe) == 32, "layout baked into emitted code");
 static_assert(offsetof(JitState, rsp_entry) == 40, "layout baked into emitted code");
+static_assert(offsetof(JitState, slot) == 48, "layout baked into emitted code");
+static_assert(offsetof(JitState, last) == 56, "layout baked into emitted code");
+static_assert(offsetof(JitState, quantum) == 64, "layout baked into emitted code");
+static_assert(offsetof(JitSlot, regs) == 0 && offsetof(JitSlot, pc) == 8 &&
+                  offsetof(JitSlot, maxe) == 16 && sizeof(JitSlot) == 24,
+              "layout baked into emitted code");
 
 class Emitter {
  public:
@@ -173,6 +179,10 @@ class Emitter {
   void lea(int dst, int base, std::int32_t disp) {
     rex(1, dst, 0, base); u8(0x8D); mem(dst, base, disp);
   }
+  // cmp r, [base + disp]
+  void cmp_r_mem(int r, int base, std::int32_t disp) {
+    rex(1, r, 0, base); u8(0x3B); mem(r, base, disp);
+  }
   // add/sub/cmp dst, src (register forms: 01 / 29 / 39)
   void alu_rr(std::uint8_t op, int dst, int src) {
     rex(1, src, 0, dst); u8(op); modrm(3, src, dst);
@@ -201,6 +211,15 @@ class Emitter {
   void idiv_r(int r) { rex(1, 0, 0, r); u8(0xF7); modrm(3, 7, r); }
   void jcc8(int cc, std::int8_t off) {
     u8(static_cast<std::uint8_t>(0x70 | cc)); u8(static_cast<std::uint8_t>(off));
+  }
+  /// Short forward jcc; returns the offset patch_jcc8 resolves.
+  std::size_t jcc8_fwd(int cc) {
+    jcc8(cc, 0);
+    return out.size();
+  }
+  /// Points the jcc8_fwd ending at `end` at the current position.
+  void patch_jcc8(std::size_t end) {
+    out[end - 1] = static_cast<std::uint8_t>(out.size() - end);
   }
   void jmp32_to(std::size_t target) {
     u8(0xE9);
@@ -301,7 +320,6 @@ bool JitProgram::compile(const Predecoded& pre, std::int64_t code_size,
     const std::size_t body = e.out.size();
     e.mov_ri(kRdx, state_addr);
     e.mov_r_mem(kRsp, kRdx, 40);    // unwind native call frames
-    e.mov_mem_i32(kRdx, 24, cold);  // exit_cold
     e.mov_mem_r(kRdx, 16, kRax);    // pc
     e.mov_mem_r(kRdx, 8, kRcx);     // budget
     e.mov_r_mem(kRax, kRdx, 0);     // regs
@@ -309,6 +327,33 @@ bool JitProgram::compile(const Predecoded& pre, std::int64_t code_size,
     e.mov_mem_r(kRax, kLr * 8, kRbp);
     e.mov_mem_r(kRax, kSp * 8, kRsi);
     e.mov_mem_r(kRax, kFp * 8, kRdi);
+    if (cold == 0) {
+      // Round handoff: unless this was the round's last slot, record the
+      // pc in the slot, make the next slot current and enter its worker
+      // with a fresh quantum -- the prologue's tail, minus the host.
+      e.mov_r_mem(kRax, kRdx, 48);  // slot
+      e.mov_r_mem(kRcx, kRdx, 16);  // the budget (0) is stored: rcx = pc
+      e.cmp_r_mem(kRax, kRdx, 56);  // slot vs last
+      const std::size_t to_tail = e.jcc8_fwd(kCcE);
+      e.mov_mem_r(kRax, 8, kRcx);   // slot->pc
+      e.alu_ri8(0, kRax, static_cast<std::int8_t>(sizeof(JitSlot)));
+      e.mov_mem_r(kRdx, 48, kRax);  // state->slot = next
+      e.mov_r_mem(kRcx, kRax, 0);   // next regs
+      e.mov_mem_r(kRdx, 0, kRcx);
+      e.mov_r_mem(kRbp, kRax, 16);  // next maxe (rbp is free until reloaded)
+      e.mov_mem_r(kRdx, 32, kRbp);
+      e.push_i8(0);                 // fresh return-pairing guard
+      for (int vr = 0; vr <= 7; ++vr) e.mov_r_mem(kR8 + vr, kRcx, vr * 8);
+      e.mov_r_mem(kRbp, kRcx, kLr * 8);
+      e.mov_r_mem(kRsi, kRcx, kSp * 8);
+      e.mov_r_mem(kRdi, kRcx, kFp * 8);
+      e.mov_r_mem(kRcx, kRdx, 64);  // quantum
+      e.mov_r_mem(kRax, kRax, 8);   // next pc
+      e.mov_ri(kRdx, table_addr);
+      e.jmp_table();
+      e.patch_jcc8(to_tail);
+    }
+    e.mov_mem_i32(kRdx, 24, cold);  // exit_cold
     for (int i = 5; i >= 0; --i) e.pop_r(kSaves[i]);
     e.ret();
     if (cold == 0) {

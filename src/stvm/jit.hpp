@@ -1,6 +1,7 @@
-// Baseline template JIT for the STVM (ST_STVM_DISPATCH=jit): compiles
-// the *unfused* run-form stream (predecode.hpp) to native x86-64, one
-// block per architectural instruction, into a per-module W^X buffer.
+// Baseline template JIT for the STVM (the default engine where native
+// emission is available; ST_STVM_DISPATCH=jit): compiles the *unfused*
+// run-form stream (predecode.hpp) to native x86-64, one block per
+// architectural instruction, into a per-module W^X buffer.
 //
 // Design contract (DESIGN.md §5.13):
 //  - Block i implements architectural instruction i, so the native
@@ -27,6 +28,10 @@
 //  - Registers r8..r11/r15 of the STVM have no host home and are
 //    accessed through the worker's architectural register file via the
 //    JitState mailbox (hot only in the §5.2 augmented-epilogue scratch).
+//  - A round of busy workers runs in one native entry: at a spent
+//    budget the quantum stub spills the worker, discards its native call
+//    frames and switches to the next JitSlot, so the host is visited
+//    only after the last worker's quantum or at a cold instruction.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +47,19 @@ namespace stvm {
 /// engine (docs/OBSERVABILITY.md, ST_STVM_DISPATCH=jit).
 bool jit_available();
 
+/// One worker of a native round: what the quantum stub needs to switch
+/// to it without a host visit.
+struct JitSlot {
+  Word* regs = nullptr;  ///< the worker's architectural register file
+  std::int64_t pc = 0;   ///< in: entry pc; out: pc where its quantum ended
+  Word maxe = 0;         ///< its getmaxe sentinel
+};
+
 /// Host <-> native mailbox.  Lives at a fixed address inside the Vm for
 /// the lifetime of the compiled program; the emitted code embeds the
 /// address as an immediate.
 struct JitState {
-  Word* regs = nullptr;        ///< entering worker's architectural register file
+  Word* regs = nullptr;        ///< running worker's architectural register file
   std::int64_t budget = 0;     ///< in: instructions allowed; out: remaining
   std::int64_t pc = 0;         ///< in: entry pc; out: exit pc (architectural)
   std::int64_t exit_cold = 0;  ///< out: 0 = budget exhausted, 1 = cold instruction
@@ -56,6 +69,14 @@ struct JitState {
   std::uint64_t rsp_entry = 0;  ///< host rsp at entry; exit stubs restore it so
                                 ///< the native call/ret return-prediction pairing
                                 ///< never leaks stack across quanta (jit.cpp)
+  /// Native rounds.  While slot != last, a spent budget does not return
+  /// to the host: the quantum stub stores the pc into *slot, advances
+  /// slot, loads the next worker's registers, regs and maxe, and gives it
+  /// a fresh `quantum`.  Out: slot is the worker that exited.  An entry
+  /// for one worker sets last == slot.
+  JitSlot* slot = nullptr;
+  JitSlot* last = nullptr;
+  std::int64_t quantum = 0;
 };
 
 /// One module compiled to native blocks.  Noncopyable: the emitted code
@@ -83,8 +104,9 @@ class JitProgram {
   bool compiled() const { return entry_ != nullptr; }
 
   /// Runs native blocks starting at state->pc until the budget is
-  /// exhausted or a cold instruction is reached (state->exit_cold).
-  /// Never throws; all faults are deferred to the interpreter seam.
+  /// exhausted -- on the last slot of a round -- or a cold instruction is
+  /// reached (state->exit_cold).  Never throws; all faults are deferred
+  /// to the interpreter seam.
   void enter() const { entry_(); }
 
   /// True when architectural instruction `pc` compiled to a bare cold

@@ -114,7 +114,7 @@ Vm::Vm(const PostprocResult& program, VmConfig cfg)
     case VmConfig::Dispatch::kThreaded: engine = Engine::kThreaded; break;
     case VmConfig::Dispatch::kJit: engine = Engine::kJit; break;
     case VmConfig::Dispatch::kEnv: {
-      const std::string d = stu::env_string("ST_STVM_DISPATCH", "threaded");
+      const std::string d = stu::env_string("ST_STVM_DISPATCH", "jit");
       if (d == "switch") {
         engine = Engine::kSwitch;
       } else if (d == "threaded") {
@@ -167,6 +167,7 @@ Vm::Vm(const PostprocResult& program, VmConfig cfg)
                       memory_.data(), &jit_state_,
                       counting ? op_retired_.data() : nullptr)) {
       jit_active_ = true;
+      jit_slots_.resize(cfg_.workers);
     } else {
       // Compile refused (e.g. a memory span beyond the emitted 32-bit
       // bounds immediates): fall back like an unsupported host.
@@ -202,6 +203,11 @@ Vm::~Vm() {
                  static_cast<unsigned long long>(stats_.shrink_reclaimed),
                  static_cast<unsigned long long>(stats_.retired_marks_seen),
                  static_cast<unsigned long long>(stats_.trampolines_taken));
+    if (jit_active_) {
+      std::fprintf(stderr, "[st-stats stvm jit] native_rounds=%llu host_visits=%llu\n",
+                   static_cast<unsigned long long>(jit_counters_.native_rounds),
+                   static_cast<unsigned long long>(jit_counters_.host_visits));
+    }
     std::fprintf(stderr, "[st-stats stvm opcodes dispatch=%s fuse=%d]",
                  jit_active_ ? "jit" : threaded_ ? "threaded" : "switch",
                  threaded_ && fuse_ ? 1 : 0);
@@ -303,8 +309,10 @@ Word Vm::run(const std::string& entry, const std::vector<Word>& args) {
   std::uint64_t round = 0;
   work_dirty_ = true;
   while (!result_.has_value()) {
-    for (unsigned w = 0; w < cfg_.workers && !result_.has_value(); ++w) {
-      step_worker(w);
+    if (!jit_round()) {
+      for (unsigned w = 0; w < cfg_.workers && !result_.has_value(); ++w) {
+        step_worker(w);
+      }
     }
     if (stats_.instructions > cfg_.max_steps) {
       throw VmError("instruction budget exhausted (livelock or runaway program)");
@@ -369,8 +377,7 @@ void Vm::step_worker(unsigned w) {
   const std::uint64_t before = stats_.instructions;
   if (jit_active_) {
     int b = budget;
-    if (cfg_.workers == 1 && !recording && !stu::sched_replaying() &&
-        stu::trace_mask() == 0) {
+    if (cfg_.workers == 1 && !quanta_observed()) {
       // Quantum coalescing: with one worker and no recorder/replayer/
       // tracer attached, quantum boundaries have no observer -- no
       // interleaving, no kSchedQuantum events, no per-quantum stats --
@@ -388,7 +395,7 @@ void Vm::step_worker(unsigned w) {
       if (quanta > 4096) quanta = 4096;
       if (quanta > 1) b = static_cast<int>(quanta * q);
     }
-    exec_quantum_jit(w, b);
+    exec_jit(w, w, b);
   } else if (threaded_) {
     exec_quantum_threaded(w, budget);
   } else {
@@ -684,7 +691,7 @@ void Vm::exec_instr(unsigned w) {
     case Op::kGetMaxE: {
       // The epilogue check's "1 load": the topmost exported frame's FP, or
       // the above-stack sentinel when the exported set is empty.
-      R[ins.rd] = W.exported.empty() ? W.stack_hi + 1 : W.exported.max().fp;
+      R[ins.rd] = maxe_of(W);
       ++W.pc;
       break;
     }
@@ -1361,59 +1368,100 @@ void Vm::exec_quantum_threaded(unsigned w, int budget) {
 // ---------------------------------------------------------------------
 // The baseline JIT engine (jit.hpp; DESIGN.md §5.13).
 //
-// One quantum per call.  Native blocks run until the budget is spent or
-// a cold instruction is reached; the cold instruction is then executed
-// by exec_instr -- the portable switch engine IS the seam, so builtins,
-// trampoline takes, halt and every fault produce the oracle's exact
-// state transitions, messages and stats.  Invariants:
+// exec_jit runs worker `first` with `budget`, then -- a native round --
+// workers first+1..last with fresh quanta.  Native blocks run until a
+// budget is spent or a cold instruction is reached; the cold instruction
+// is then executed by exec_instr -- the portable switch engine IS the
+// seam, so builtins, trampoline takes, halt and every fault produce the
+// oracle's exact state transitions, messages and stats -- and native
+// code resumes the same worker with the rest of its budget.
+// Invariants:
 //  - native code charges the budget once per architectural instruction,
 //    before that instruction's first side effect, and a cold exit always
 //    carries the pc of the *unexecuted* instruction with its budget
-//    intact -- so stats_.instructions (folded from the budget delta) and
+//    intact -- so stats_.instructions (folded from the budget deltas) and
 //    per-quantum interleaving are bit-identical to both interpreters;
-//  - the getmaxe sentinel is refreshed at every native entry: the
-//    exported set only changes inside builtins / trampolines / steal
-//    service, all of which pass through the exec_instr seam first;
+//  - a worker's control state -- idle/halted, pc, registers, exported
+//    set (so its getmaxe sentinel) -- changes only inside its own
+//    quantum, and only through the exec_instr seam: a slot filled
+//    before an earlier worker's host visits stays valid, and the
+//    running worker's slot is refilled at every native entry;
 //  - memory_ never reallocates after construction, so the base address
 //    baked into the blocks stays valid across builtins.
 // ---------------------------------------------------------------------
 
-void Vm::exec_quantum_jit(unsigned w, int budget) {
-  auto& W = workers_[w];
+void Vm::exec_jit(unsigned first, unsigned last, int budget) {
   const std::int64_t code_size = static_cast<std::int64_t>(code_.size());
-  while (budget > 0 && !W.idle && !W.halted && !result_.has_value()) {
-    if (W.pc < 0 || W.pc >= code_size) {
-      exec_instr(w);  // throws the canonical "pc out of code range"
+  for (unsigned v = first + 1; v <= last; ++v) {
+    auto& V = workers_[v];
+    jit_slots_[v] = {V.regs.data(), V.pc, maxe_of(V)};
+  }
+  unsigned w = first;
+  while (!result_.has_value()) {
+    auto& W = workers_[w];
+    if (budget <= 0 || W.idle || W.halted) {  // worker w's quantum is over
+      if (w == last) return;
+      ++w;
+      budget = cfg_.quantum;
       continue;
     }
-    if (jit_->cold_at(W.pc)) {
-      // Bare cold slot (builtin call, halt, ...): single-step directly,
-      // skipping the native enter/exit round trip.
+    if (W.pc < 0 || W.pc >= code_size || jit_->cold_at(W.pc)) {
+      // Bare cold slot (builtin call, halt, ...) or the canonical "pc out
+      // of code range": single-step without the native round trip.
       --budget;
       exec_instr(w);
       continue;
     }
-    // A native stretch can grow the host stack by up to 8 bytes per
-    // executed instruction (a call whose return is redirected leaves its
-    // frame until the exit stub unwinds), so huge quanta run as several
-    // back-to-back stretches -- architecturally invisible, since nothing
-    // observes the seam between them.
-    constexpr int kMaxStretch = 1 << 16;
+    // A budget above kMaxStretch (one worker's coalesced quanta) runs as
+    // several back-to-back stretches, each its own round's only slot --
+    // architecturally invisible, since nothing observes the seam.
     const int stretch = budget < kMaxStretch ? budget : kMaxStretch;
-    jit_state_.regs = W.regs.data();
+    JitSlot& s = jit_slots_[w];
+    s = {W.regs.data(), W.pc, maxe_of(W)};
+    jit_state_.regs = s.regs;
     jit_state_.budget = stretch;
-    jit_state_.pc = W.pc;
-    jit_state_.maxe = W.exported.empty() ? W.stack_hi + 1 : W.exported.max().fp;
+    jit_state_.pc = s.pc;
+    jit_state_.maxe = s.maxe;
+    jit_state_.slot = &s;
+    jit_state_.last = stretch < budget ? &s : &jit_slots_[last];
+    jit_state_.quantum = cfg_.quantum;
     jit_->enter();
-    const int executed = stretch - static_cast<int>(jit_state_.budget);
+    ++jit_counters_.host_visits;
+    // Workers before the exiting slot spent their whole budgets natively.
+    const auto k = static_cast<unsigned>(jit_state_.slot - jit_slots_.data());
+    int given = stretch;  // the native budget of worker w
+    for (; w < k; ++w) {
+      workers_[w].pc = jit_slots_[w].pc;
+      stats_.instructions += static_cast<std::uint64_t>(given);
+      budget = given = cfg_.quantum;
+    }
+    const int executed = given - static_cast<int>(jit_state_.budget);
     stats_.instructions += static_cast<std::uint64_t>(executed);
     budget -= executed;
-    W.pc = static_cast<Addr>(jit_state_.pc);
-    if (jit_state_.exit_cold == 0) continue;  // stretch spent; loop re-checks budget
-    if (budget <= 0) break;  // cold instruction landed on the quantum boundary
-    --budget;
-    exec_instr(w);  // oracle single-step (counts its own stats/histogram)
+    workers_[w].pc = static_cast<Addr>(jit_state_.pc);
+    if (jit_state_.exit_cold != 0 && budget > 0) {
+      --budget;
+      exec_instr(w);  // oracle single-step (counts its own stats/histogram)
+    }
   }
+}
+
+bool Vm::quanta_observed() {
+  return stu::sched_recording() || stu::sched_replaying() || stu::trace_mask() != 0;
+}
+
+bool Vm::jit_round() {
+  const unsigned n = cfg_.workers;
+  if (!jit_active_ || n < 2 || cfg_.quantum > kMaxStretch || quanta_observed()) {
+    return false;
+  }
+  const Addr code_size = static_cast<Addr>(code_.size());
+  for (const auto& W : workers_) {
+    if (W.idle || W.halted || W.pc < 0 || W.pc >= code_size) return false;
+  }
+  ++jit_counters_.native_rounds;
+  exec_jit(0, n - 1, cfg_.quantum);
+  return true;
 }
 
 void Vm::take_trampoline(unsigned w, Addr token) {
@@ -1904,6 +1952,10 @@ std::string Vm::metrics_json() const {
      << ",\"shrink_reclaimed\":" << stats_.shrink_reclaimed
      << ",\"retired_marks_seen\":" << stats_.retired_marks_seen
      << ",\"trampolines_taken\":" << stats_.trampolines_taken << "},";
+  if (jit_active_) {
+    os << "\"jit\":{\"native_rounds\":" << jit_counters_.native_rounds
+       << ",\"host_visits\":" << jit_counters_.host_visits << "},";
+  }
   os << "\"per_worker\":[";
   for (unsigned w = 0; w < cfg_.workers; ++w) {
     const auto& W = workers_[w];

@@ -21,7 +21,10 @@
 //     dance of Figure 9.
 //
 // Workers are stepped round-robin with a configurable quantum, making
-// every concurrent schedule deterministic and replayable in tests.
+// every concurrent schedule deterministic and replayable in tests.  The
+// default engine is the JIT (jit.hpp), which runs a round of busy
+// workers in one native entry; the interpreters stay as fallbacks and
+// differential oracles.
 #pragma once
 
 #include <array>
@@ -65,7 +68,7 @@ struct VmConfig {
   /// engine instruction-for-instruction.
   bool validate = false;
   /// Execution engine.  kEnv reads ST_STVM_DISPATCH
-  /// (switch|threaded|jit, default threaded); all three engines are
+  /// (switch|threaded|jit, default jit); all three engines are
   /// architecturally identical -- same results, print streams, VmStats,
   /// instruction counts and quantum interleaving -- and differentially
   /// fuzzed against each other (docs/OBSERVABILITY.md).  kJit falls back
@@ -149,6 +152,15 @@ class Vm {
 
   /// True when this VM runs native JIT-compiled blocks (jit.hpp).
   bool dispatch_jit() const { return jit_active_; }
+
+  /// How often the JIT left native code (zero on the interpreters).  Not
+  /// architectural -- the interpreters have no such seam -- so kept out
+  /// of VmStats; reported by metrics_json() and ST_STATS.
+  struct JitCounters {
+    std::uint64_t native_rounds = 0;  ///< rounds run by jit_round()
+    std::uint64_t host_visits = 0;    ///< returns from native code to the host
+  };
+  const JitCounters& jit_counters() const { return jit_counters_; }
 
   /// True when this build/host can run the baseline JIT at all
   /// (benches and tests gate their jit columns/dimensions on this).
@@ -238,11 +250,28 @@ class Vm {
   /// carries zero flag tests on the dispatch path.
   template <bool kSlow>
   void exec_quantum_threaded_impl(unsigned w, int budget);
-  /// Runs up to one quantum through the native blocks (jit.cpp),
-  /// single-stepping cold instructions through exec_instr -- the switch
-  /// engine is the oracle seam, so builtins, trampolines, halt and every
-  /// fault path behave byte-identically to an all-switch run.
-  void exec_quantum_jit(unsigned w, int budget);
+  /// Runs worker `first` for `budget` instructions, then workers
+  /// first+1..last for one quantum each, through the native blocks
+  /// (jit.cpp).  Quantum boundaries between them switch workers inside
+  /// native code (JitState::slot); cold instructions are single-stepped
+  /// through exec_instr -- the switch engine is the oracle seam, so
+  /// builtins, trampolines, halt and every fault path behave
+  /// byte-identically to an all-switch run.
+  void exec_jit(unsigned first, unsigned last, int budget);
+  /// Runs one scheduler round as exec_jit(0, workers-1, quantum): same
+  /// boundaries, order and counters as step_worker() over every worker.
+  /// Returns false, having run nothing, unless the JIT is on, several
+  /// workers are all busy at in-range pcs, the quantum fits kMaxStretch,
+  /// and no recorder, replayer or tracer observes quantum boundaries.
+  bool jit_round();
+  /// True when a schedule recorder, replayer or tracer is attached and
+  /// so sees quantum boundaries; the JIT batches quanta only when not.
+  static bool quanta_observed();
+  /// A native stretch can grow the host stack by up to 8 bytes per
+  /// executed instruction (a call whose return is redirected leaves its
+  /// frame until the exit stub unwinds), so one entry runs at most this
+  /// many instructions per worker.
+  static constexpr int kMaxStretch = 1 << 16;
   void idle_step(unsigned w);
   void do_builtin(unsigned w, int id);
   void take_trampoline(unsigned w, Addr token);
@@ -308,6 +337,11 @@ class Vm {
   [[noreturn]] void mem_oob(unsigned w, Addr a, Addr at);
   void validate_worker(unsigned w) const;
   bool is_local(unsigned w, Addr addr) const;
+  /// getmaxe's value: the topmost exported frame's FP, or the
+  /// above-stack sentinel when the exported set is empty.
+  static Word maxe_of(const VmWorkerState& W) {
+    return W.exported.empty() ? W.stack_hi + 1 : W.exported.max().fp;
+  }
   const ProcDescriptor* proc_of(Addr pc, const char* why) const;
   Addr make_trampoline(Trampoline t);
   Addr alloc_heap(Word n);
@@ -319,6 +353,8 @@ class Vm {
   bool jit_active_ = false; ///< native blocks compiled and selected
   JitState jit_state_;      ///< host<->native mailbox (address baked into code)
   std::unique_ptr<JitProgram> jit_;
+  std::vector<JitSlot> jit_slots_;  ///< one per worker (exec_jit)
+  JitCounters jit_counters_;
   bool annotate_ = false;   ///< HB access annotation (sched_annotating() at ctor)
   bool fuse_ = true;        ///< superinstruction fusion (ST_STVM_FUSE)
   std::uint32_t engine_flags_ = 0;  ///< kEngine* bits, fixed at construction

@@ -3,7 +3,12 @@
 // so that floating-point reduction orders are schedule-independent).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <thread>
 
 #include "apps/cilksort.hpp"
 #include "apps/fft.hpp"
@@ -47,6 +52,38 @@ TEST_P(AppWorkerTest, Cilksort) {
   crt.run([&] { apps::cilksort::run_ck(v_ck); });
   EXPECT_EQ(v_st, v_seq);
   EXPECT_EQ(v_ck, v_seq);
+}
+
+/// Resident set size in bytes, from /proc/self/statm (0 if unreadable).
+std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0, resident = 0;
+  const int got = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return got == 2 ? resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)) : 0;
+}
+
+TEST(CilksortScratch, SortsFromSeveralThreadsKeepNoScratchResident) {
+  // The merge scratch is as large as the input.  Once freed, a heap
+  // buffer of that size stays resident in the malloc arena of whichever
+  // thread sorted, so sorts run from different threads would each leave
+  // one behind; the scratch must be returned to the kernel instead.
+  constexpr std::size_t kN = std::size_t{1} << 20;
+  auto data = apps::cilksort::make_input(kN);
+  const auto expect = [&] {
+    auto v = data;
+    std::sort(v.begin(), v.end());
+    return v;
+  }();
+  std::vector<std::vector<long>> copies(3, data);  // allocated before the baseline
+  const std::size_t before = resident_bytes();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/statm";
+  for (auto& v : copies) std::thread([&v] { apps::cilksort::seq(v); }).join();
+  const std::size_t after = resident_bytes();
+  for (const auto& v : copies) EXPECT_EQ(v, expect);
+  EXPECT_LT(after, before + kN * sizeof(long))
+      << "resident memory grew from " << before << " to " << after << " bytes";
 }
 
 TEST_P(AppWorkerTest, Knapsack) {

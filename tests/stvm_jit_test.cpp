@@ -1,7 +1,8 @@
 // The baseline template JIT (stvm/jit.hpp): engine selection and the
 // fallback ladder, per-opcode retirement histogram equality across all
-// three engines after canonicalization, observability strings, and the
-// verify-once memo a module carries when shared across engines.
+// three engines after canonicalization, observability strings, the
+// verify-once memo a module carries when shared across engines, and the
+// native rounds that switch busy workers inside native code.
 //
 // Architectural equivalence of the JIT (results, print streams, VmStats,
 // schedule digests) is fuzzed in stvm_stc_fuzz_test.cpp; this file
@@ -12,11 +13,15 @@
 #include <string>
 #include <vector>
 
+#include "stvm/asm.hpp"
 #include "stvm/postproc.hpp"
 #include "stvm/predecode.hpp"
 #include "stvm/programs.hpp"
+#include "stvm/stc.hpp"
 #include "stvm/verify.hpp"
 #include "stvm/vm.hpp"
+#include "util/sched_log.hpp"
+#include "util/trace_export.hpp"
 
 namespace {
 
@@ -174,7 +179,7 @@ TEST(StvmJit, SharedModuleIsVerifiedOnce) {
 
 TEST(StvmJit, EnvSelectionRejectsUnknownEngineNames) {
   const auto prog = programs::compile(programs::fib(), /*with_stdlib=*/false);
-  // This binary also runs in ctest's .switch/.jit env rounds; preserve
+  // This binary also runs in ctest's .switch/.threaded env rounds; preserve
   // whatever ST_STVM_DISPATCH that round pinned.
   const char* prev = ::getenv("ST_STVM_DISPATCH");
   const std::string saved = prev ? prev : "";
@@ -186,6 +191,272 @@ TEST(StvmJit, EnvSelectionRejectsUnknownEngineNames) {
     ::setenv("ST_STVM_DISPATCH", saved.c_str(), 1);
   else
     ::unsetenv("ST_STVM_DISPATCH");
+}
+
+}  // namespace
+
+// ---- native rounds ---------------------------------------------------
+
+namespace {
+
+PostprocResult compile_stc(const std::string& src) {
+  return postprocess(assemble(stc::compile_to_asm(src) + "\n" + programs::stdlib()));
+}
+
+/// Everything a run exposes that the engines must agree on.
+struct FullRun {
+  Word result = 0;
+  bool threw = false;
+  std::vector<Word> printed;
+  VmStats stats;
+  std::array<std::uint64_t, kNumRunOps> canonical{};
+  Vm::JitCounters jit;
+};
+
+FullRun full_run(const PostprocResult& prog, VmConfig cfg, const std::string& entry,
+                 const std::vector<Word>& args) {
+  cfg.count_opcodes = true;
+  Vm vm(prog, cfg);
+  FullRun r;
+  try {
+    r.result = vm.run(entry, args);
+  } catch (const VmError&) {
+    r.threw = true;
+  }
+  r.printed = vm.output();
+  r.stats = vm.stats();
+  r.canonical = canonicalize_opcode_histogram(vm.opcode_retired());
+  r.jit = vm.jit_counters();
+  return r;
+}
+
+void expect_same_run(const FullRun& a, const FullRun& b) {
+  EXPECT_EQ(a.threw, b.threw);
+  EXPECT_EQ(a.result, b.result);
+  EXPECT_EQ(a.printed, b.printed);
+  EXPECT_EQ(a.stats.instructions, b.stats.instructions);
+  EXPECT_EQ(a.stats.suspends, b.stats.suspends);
+  EXPECT_EQ(a.stats.restarts, b.stats.restarts);
+  EXPECT_EQ(a.stats.resumes, b.stats.resumes);
+  EXPECT_EQ(a.stats.steals_served, b.stats.steals_served);
+  EXPECT_EQ(a.stats.steals_rejected, b.stats.steals_rejected);
+  EXPECT_EQ(a.stats.frames_unwound, b.stats.frames_unwound);
+  EXPECT_EQ(a.stats.shrink_reclaimed, b.stats.shrink_reclaimed);
+  EXPECT_EQ(a.stats.retired_marks_seen, b.stats.retired_marks_seen);
+  EXPECT_EQ(a.stats.trampolines_taken, b.stats.trampolines_taken);
+  for (int h = 0; h < kNumRunOps; ++h)
+    EXPECT_EQ(a.canonical[static_cast<std::size_t>(h)],
+              b.canonical[static_cast<std::size_t>(h)])
+        << run_op_name(static_cast<RunOp>(h));
+}
+
+/// Runs under the switch engine and the JIT and compares everything;
+/// returns the JIT run for path-specific assertions.
+FullRun jit_matches_switch(const PostprocResult& prog, VmConfig cfg,
+                           const std::string& entry, const std::vector<Word>& args) {
+  cfg.dispatch = VmConfig::Dispatch::kSwitch;
+  const FullRun sw = full_run(prog, cfg, entry, args);
+  cfg.dispatch = VmConfig::Dispatch::kJit;
+  const FullRun jt = full_run(prog, cfg, entry, args);
+  expect_same_run(sw, jt);
+  EXPECT_EQ(sw.jit.native_rounds, 0u);
+  return jt;
+}
+
+VmConfig workers_quantum(unsigned workers, int quantum) {
+  VmConfig cfg;
+  cfg.workers = workers;
+  cfg.quantum = quantum;
+  return cfg;
+}
+
+TEST(StvmJitRounds, MultiWorkerRunsMatchTheSwitchEngine) {
+  if (!Vm::jit_supported()) GTEST_SKIP() << "no JIT on this host";
+  const auto pfib = programs::compile(programs::pfib(), /*with_stdlib=*/true);
+  const auto psum = programs::compile(programs::psum(), /*with_stdlib=*/true);
+  for (unsigned workers = 2; workers <= 4; ++workers) {
+    for (int quantum : {1, 7, 64}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " quantum=" + std::to_string(quantum));
+      const auto f = jit_matches_switch(pfib, workers_quantum(workers, quantum), "pmain", {13});
+      EXPECT_EQ(f.result, 233);
+      EXPECT_GT(f.jit.native_rounds, 0u) << "pfib never ran a native round";
+      const auto s = jit_matches_switch(psum, workers_quantum(workers, quantum), "psum_main", {3000});
+      EXPECT_EQ(s.result, 3000 * 3001 / 2);
+      EXPECT_GT(s.jit.native_rounds, 0u) << "psum never ran a native round";
+    }
+  }
+}
+
+TEST(StvmJitRounds, ColdBuiltinsMidRoundKeepThePrintOrder) {
+  // Every leaf prints: __st_print is a cold builtin landing at arbitrary
+  // points of a quantum, so native rounds keep leaving to the host and
+  // resuming the same worker with the rest of its budget.
+  if (!Vm::jit_supported()) GTEST_SKIP() << "no JIT on this host";
+  const auto prog = compile_stc(R"(
+    func task(lo, hi, result, jc) {
+      mem[result] = sum(lo, hi);
+      jc_finish(jc);
+    }
+    func sum(lo, hi) {
+      if (hi - lo < 3) {
+        var s = 0;
+        while (lo < hi) { s = s + lo; lo = lo + 1; }
+        print(s * 10 + worker_id());
+        return s;
+      }
+      poll();
+      var mid = lo + (hi - lo) / 2;
+      var jc[2];
+      var a;
+      jc_init(&jc, 1);
+      async task(lo, mid, &a, &jc);
+      var b = sum(mid, hi);
+      jc_join(&jc);
+      return a + b;
+    }
+    func main(n) { exit(sum(0, n)); }
+  )");
+  for (int quantum : {7, 64}) {
+    SCOPED_TRACE("quantum=" + std::to_string(quantum));
+    const auto r = jit_matches_switch(prog, workers_quantum(4, quantum), "main", {400});
+    EXPECT_EQ(r.result, 400 * 399 / 2);
+    EXPECT_GT(r.printed.size(), 100u);
+    EXPECT_GT(r.jit.native_rounds, 0u);
+    EXPECT_GT(r.jit.host_visits, r.jit.native_rounds);
+  }
+}
+
+TEST(StvmJitRounds, HaltMidRoundSkipsTheRestOfTheRound) {
+  // Worker 0 runs the child and exits mid-quantum while worker 1, which
+  // stole main's continuation, is still spinning: the round ends at the
+  // exit, so worker 1 must not run the rest of its round.
+  if (!Vm::jit_supported()) GTEST_SKIP() << "no JIT on this host";
+  const auto prog = compile_stc(R"(
+    func child(n) {
+      var i = 0;
+      while (i < n) { poll(); i = i + 1; }
+      exit(n);
+    }
+    func main(n) {
+      async child(n);
+      var k = 0;
+      while (k >= 0) { k = k + 1; }
+    }
+  )");
+  for (int quantum : {7, 64}) {
+    SCOPED_TRACE("quantum=" + std::to_string(quantum));
+    const auto r = jit_matches_switch(prog, workers_quantum(2, quantum), "main", {300});
+    EXPECT_EQ(r.result, 300);
+    EXPECT_GT(r.stats.steals_served, 0u) << "main's continuation was never stolen";
+    EXPECT_GT(r.jit.native_rounds, 0u);
+  }
+}
+
+TEST(StvmJitRounds, WorkerGoingIdleMidRoundDropsToPerQuantumRounds) {
+  // The child finishes first and its worker returns to the scheduler
+  // mid-round; the rounds after that have an idle worker (probing for
+  // steals that main's polls reject) and must run on the per-quantum
+  // path, or the probe sequence and counters would drift from the
+  // switch engine's.
+  if (!Vm::jit_supported()) GTEST_SKIP() << "no JIT on this host";
+  const auto prog = compile_stc(R"(
+    func child(n) {
+      var i = 0;
+      while (i < n) { poll(); i = i + 1; }
+    }
+    func main(n) {
+      async child(n);
+      var k = 0;
+      while (k < 20 * n) { poll(); k = k + 1; }
+      exit(k);
+    }
+  )");
+  for (int quantum : {7, 64}) {
+    SCOPED_TRACE("quantum=" + std::to_string(quantum));
+    const auto r = jit_matches_switch(prog, workers_quantum(2, quantum), "main", {100});
+    EXPECT_EQ(r.result, 2000);
+    EXPECT_GT(r.stats.steals_served, 0u) << "main's continuation was never stolen";
+    EXPECT_GT(r.stats.steals_rejected, 0u) << "the idle worker never probed";
+    EXPECT_GT(r.jit.native_rounds, 0u);
+  }
+}
+
+TEST(StvmJitRounds, SequentialWorkWithIdleWorkersNeverRunsNativeRounds) {
+  // fib never forks: workers 1..3 stay idle, so no round qualifies.
+  if (!Vm::jit_supported()) GTEST_SKIP() << "no JIT on this host";
+  const auto prog = programs::compile(programs::fib(), /*with_stdlib=*/false);
+  const auto r = jit_matches_switch(prog, workers_quantum(4, 64), "main", {15});
+  EXPECT_EQ(r.result, 610);
+  EXPECT_EQ(r.jit.native_rounds, 0u);
+  EXPECT_GT(r.jit.host_visits, 0u);
+}
+
+TEST(StvmJitRounds, MaxStepsFailsAtTheSameInstructionCount) {
+  if (!Vm::jit_supported()) GTEST_SKIP() << "no JIT on this host";
+  const auto prog = programs::compile(programs::pfib(), /*with_stdlib=*/true);
+  for (int quantum : {7, 64}) {
+    SCOPED_TRACE("quantum=" + std::to_string(quantum));
+    VmConfig cfg = workers_quantum(4, quantum);
+    cfg.max_steps = 20'000;
+    const auto r = jit_matches_switch(prog, cfg, "pmain", {18});
+    EXPECT_TRUE(r.threw);
+    EXPECT_GT(r.stats.instructions, cfg.max_steps);
+    EXPECT_GT(r.jit.native_rounds, 0u);
+  }
+}
+
+TEST(StvmJitRounds, FourWorkerJitScheduleReplaysUnderTheSwitchEngine) {
+  // A recorder observes quantum boundaries, so this run takes the
+  // per-quantum path; its log must still replay bit-identically under
+  // the switch engine (same digest, same counters).
+  if (!Vm::jit_supported()) GTEST_SKIP() << "no JIT on this host";
+  const std::uint64_t saved_mask = stu::trace_mask();
+  const std::size_t saved_cap = stu::g_trace_ring_capacity.load();
+  stu::trace_set_mask(stu::kTraceAll);
+  stu::g_trace_ring_capacity.store(std::size_t{1} << 18);
+  const auto prog = programs::compile(programs::pfib(), /*with_stdlib=*/true);
+  auto run = [&](VmConfig::Dispatch d, std::uint64_t* digest) {
+    VmConfig cfg = workers_quantum(4, 7);
+    cfg.dispatch = d;
+    Vm vm(prog, cfg);
+    const Word r = vm.run("pmain", {11});
+    *digest = stu::trace_schedule_digest(vm.trace_ring().snapshot());
+    EXPECT_EQ(vm.jit_counters().native_rounds, 0u);
+    return std::make_pair(r, vm.stats().instructions);
+  };
+  stu::sched_set_off();
+  stu::sched_reset_counters();
+  stu::sched_set_record();
+  std::uint64_t rec_digest = 0, rep_digest = 0;
+  const auto rec = run(VmConfig::Dispatch::kJit, &rec_digest);
+  const std::vector<stu::SchedDecision> log = stu::sched_take_recorded();
+  stu::sched_set_replay(log);
+  const auto rep = run(VmConfig::Dispatch::kSwitch, &rep_digest);
+  stu::sched_set_off();
+  EXPECT_FALSE(log.empty());
+  EXPECT_EQ(rec.first, 89);
+  EXPECT_EQ(rep, rec);
+  EXPECT_EQ(rep_digest, rec_digest);
+  EXPECT_EQ(stu::sched_counters().divergence, 0u);
+  stu::trace_set_mask(saved_mask);
+  stu::g_trace_ring_capacity.store(saved_cap);
+  stu::trace_sink_clear();
+}
+
+TEST(StvmJitRounds, CountersAreReported) {
+  if (!Vm::jit_supported()) GTEST_SKIP() << "no JIT on this host";
+  const auto prog = programs::compile(programs::pfib(), /*with_stdlib=*/true);
+  VmConfig cfg = workers_quantum(4, 64);
+  cfg.dispatch = VmConfig::Dispatch::kJit;
+  Vm vm(prog, cfg);
+  vm.run("pmain", {14});
+  const std::string json = vm.metrics_json();
+  EXPECT_NE(json.find("\"jit\":{\"native_rounds\":" +
+                      std::to_string(vm.jit_counters().native_rounds) +
+                      ",\"host_visits\":" + std::to_string(vm.jit_counters().host_visits) + "}"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

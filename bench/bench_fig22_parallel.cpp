@@ -209,8 +209,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total_steals_st),
               static_cast<unsigned long long>(total_steals_ck));
   std::printf("\nPaper's shape to check: ratios scattered around 1.0 with no\n"
-              "consistent winner across applications or worker counts.\n"
-              "(On this host all workers share the physical cores, so the\n"
-              "ratio -- not absolute speedup -- is the reproducible quantity.)\n");
+              "consistent winner across applications or worker counts.\n");
   return bench::json_finish("fig22_parallel") ? 0 : 1;
 }

@@ -201,8 +201,9 @@ void BM_ForkJoinTree(benchmark::State& state) {
 BENCHMARK(BM_ForkJoinTree);
 
 // -- the future call: spawn + get ------------------------------------------
-// One cell allocation, two handle owners, one set() exchange and the get()
-// fast path (the child finishes first under LIFO).
+// One cached cell, one handle, one set() exchange and the get() fast path
+// (the child finishes first under LIFO).  Compare with BM_ForkJoinCounter:
+// both pay one RMW per fork.
 void BM_SpawnGet(benchmark::State& state) {
   st::Runtime rt(1);
   rt.run([&] {
@@ -215,6 +216,44 @@ void BM_SpawnGet(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_SpawnGet);
+
+// -- the future call down a fib-shaped tree --------------------------------
+// BM_ForkJoinTree with a spawn + get in place of fork + join counter (the
+// shape of perfbench's `futures` kernel).  Reported per spawn.
+long tree_fut_fib(int n) {
+  if (n < 2) return n;
+  st::Future<long> a = st::spawn([n] { return tree_fut_fib(n - 1); });
+  const long b = tree_fut_fib(n - 2);
+  return a.get() + b;
+}
+
+void BM_SpawnGetTree(benchmark::State& state) {
+  constexpr int kDepth = 16;
+  long spawns = 0;
+  st::Runtime rt(1);
+  rt.run([&] {
+    spawns = tree_fut_fib(kDepth + 1) - 1;  // also warms the region and cell cache
+    for (auto _ : state) benchmark::DoNotOptimize(tree_fut_fib(kDepth));
+  });
+  state.counters["per_spawn"] = benchmark::Counter(
+      static_cast<double>(spawns),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SpawnGetTree);
+
+// -- one future cell through the worker's cache, no fork -------------------
+// A handle-only Future: cell taken from the cache, last handle frees it
+// back.  The storage share of BM_SpawnGet.
+void BM_FutureCellCycle(benchmark::State& state) {
+  st::Runtime rt(1);
+  rt.run([&] {
+    for (auto _ : state) {
+      st::Future<long> f;
+      benchmark::DoNotOptimize(&f);
+    }
+  });
+}
+BENCHMARK(BM_FutureCellCycle);
 
 // -- suspend + deferred resume round trip ----------------------------------
 void BM_SuspendResume(benchmark::State& state) {

@@ -18,14 +18,21 @@
 // this harness and it writes a JSON results file (default
 // BENCH_<suite>.json) alongside the human table -- one record per
 // measured cell: {"benchmark": ..., "ns_per_op": ..., "samples": ...}.
-// CI uploads these as artifacts so perf history is diffable.
+// The "meta" block stamps the build, the knobs and the host (nproc,
+// cpu_model).  CI uploads these as artifacts so perf history is diffable.
 #pragma once
 
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "util/env.hpp"
 #include "util/stats.hpp"
@@ -105,6 +112,33 @@ class JsonWriter {
   std::vector<JsonResult> results_;
 };
 
+/// Host stamp: CPUs this process may run on (what `nproc` prints).
+inline std::string host_nproc() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return std::to_string(CPU_COUNT(&set));
+#endif
+  return std::to_string(std::thread::hardware_concurrency());
+}
+
+/// Host stamp: the first "model name" of /proc/cpuinfo ("unknown" when
+/// absent), stripped of characters the JSON writer does not escape.
+inline std::string host_cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (char c : line.substr(colon + 1)) {
+      if (c != '"' && c != '\\' && (c != ' ' || !model.empty())) model += c;
+    }
+    return model.empty() ? "unknown" : model;
+  }
+  return "unknown";
+}
+
 /// The suite's shared writer (one results file per binary).
 inline JsonWriter& json_writer() {
   static JsonWriter w;
@@ -131,6 +165,9 @@ inline void parse_json_flag(int& argc, char** argv, const std::string& suite) {
                          stu::env_string("ST_STVM_DISPATCH", "default"));
   json_writer().set_meta("scale", std::to_string(scale()));
   json_writer().set_meta("reps", std::to_string(reps()));
+  // Which machine: tools/bench_diff.py gates only between equal stamps.
+  json_writer().set_meta("nproc", host_nproc());
+  json_writer().set_meta("cpu_model", host_cpu_model());
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];

@@ -27,7 +27,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -38,6 +40,10 @@
 #include "util/owner_deque.hpp"
 #include "util/rng.hpp"
 #include "util/trace_ring.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace st {
 
@@ -160,6 +166,48 @@ enum class WorkerPhase : std::uint32_t {
   kIdle = 0,      ///< scheduler loop, nothing to run
   kWorking = 1,   ///< executing application code
   kStealing = 2,  ///< negotiating with a victim
+};
+
+/// Owner-only LIFO of recycled future-cell blocks (sync/future.hpp,
+/// DESIGN.md §5.16).  One size class, bounded: a give() past kCap and a
+/// take() from an empty cache fall back to the heap.  Blocks arrive only
+/// from frees on this worker, so nothing is allocated up front; the
+/// destructor returns them to the heap.  Under ASan a cached block is
+/// poisoned until it is taken again.
+class CellCache {
+ public:
+  static constexpr std::size_t kBlockBytes = 64;
+  static constexpr unsigned kCap = 64;
+
+  CellCache() = default;
+  CellCache(const CellCache&) = delete;
+  CellCache& operator=(const CellCache&) = delete;
+  ~CellCache() {
+    while (void* p = take()) ::operator delete(p);
+  }
+
+  void* take() noexcept {
+    if (n_ == 0) return nullptr;
+    void* p = blocks_[--n_];
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_UNPOISON_MEMORY_REGION(p, kBlockBytes);
+#endif
+    return p;
+  }
+  /// False when the cache is full; the caller frees the block.
+  bool give(void* p) noexcept {
+    if (n_ == kCap) return false;
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_POISON_MEMORY_REGION(p, kBlockBytes);
+#endif
+    blocks_[n_++] = p;
+    return true;
+  }
+  unsigned size() const noexcept { return n_; }
+
+ private:
+  unsigned n_ = 0;
+  void* blocks_[kCap];
 };
 
 /// Per-worker latency/depth instruments (owner-writes, monitor-reads).
@@ -358,6 +406,9 @@ class alignas(stu::kCacheLine) Worker {
   WorkerMetrics& metrics() noexcept { return metrics_; }
   const WorkerMetrics& metrics() const noexcept { return metrics_; }
 
+  /// Owner-only; sync/future.hpp reaches it through tl_worker.
+  CellCache& cell_cache() noexcept { return cell_cache_; }
+
   /// Run a continuation to its next suspension/completion, with this
   /// worker's scheduler context as the fallback parent.
   void attach_and_run(Continuation target, SwitchMsg* msg = nullptr);
@@ -400,6 +451,7 @@ class alignas(stu::kCacheLine) Worker {
   std::atomic<bool> io_blocked_{false};
   std::atomic<IoPoller*> io_poller_{nullptr};
   int io_poll_countdown_ = kIoPollEvery;
+  CellCache cell_cache_;
   // Cross-worker mailboxes on their own line: thieves CAS the port and
   // fetch_or the poll word; the owner polls the word every fork.
   alignas(stu::kCacheLine) std::atomic<std::uint32_t> poll_word_{0};

@@ -3,10 +3,12 @@
 // barrier -- each exercised across worker counts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -19,6 +21,16 @@
 #include "sync/mutex.hpp"
 
 namespace {
+
+/// Counts live instances, so a leaked or doubly freed future cell shows.
+struct Tracked {
+  static inline std::atomic<int> live{0};
+  int v = 0;
+  explicit Tracked(int x) : v(x) { live.fetch_add(1); }
+  Tracked(const Tracked& o) : v(o.v) { live.fetch_add(1); }
+  Tracked(Tracked&& o) noexcept : v(o.v) { live.fetch_add(1); }
+  ~Tracked() { live.fetch_sub(1); }
+};
 
 class SyncWorkerTest : public ::testing::TestWithParam<unsigned> {};
 
@@ -106,6 +118,45 @@ TEST_P(SyncWorkerTest, FutureMultipleWaiters) {
     jc.join();
     EXPECT_EQ(seen.load(), 21);
   });
+}
+
+TEST_P(SyncWorkerTest, FutureHandleSetterWithWaitersIsUnchanged) {
+  // A default-constructed cell has no pending producer: its handles own it
+  // alone, and whichever of them drops last frees it.  This round's own
+  // handle drops first, so a waiter or the setter frees the cell.
+  std::atomic<int> seen{0};
+  bool block_returned = true;
+  {
+    st::Runtime rt(GetParam());
+    rt.run([&] {
+      for (int round = 0; round < 50; ++round) {
+        st::JoinCounter jc(4);
+        {
+          st::Future<Tracked> cell;
+          for (int i = 0; i < 3; ++i) {
+            st::fork([cell, &jc, &seen, round] {
+              if (cell.get().v == round) seen.fetch_add(1, std::memory_order_relaxed);
+              jc.finish();
+            });
+          }
+          st::fork([cell, &jc, round] {
+            cell.set(Tracked(round));
+            jc.finish();
+          });
+        }
+        jc.join();
+      }
+      if (GetParam() == 1) {
+        // A handle never set returns its block to the cache when dropped.
+        const unsigned before = rt.worker(0).cell_cache().size();
+        { st::Future<Tracked> never_set; }
+        block_returned = before > 0 && rt.worker(0).cell_cache().size() == before;
+      }
+    });
+  }
+  EXPECT_EQ(seen.load(), 150);
+  EXPECT_TRUE(block_returned);
+  EXPECT_EQ(Tracked::live.load(), 0);
 }
 
 TEST_P(SyncWorkerTest, MutexProtectsCounter) {
@@ -302,16 +353,6 @@ INSTANTIATE_TEST_SUITE_P(Policies, JoinRaceTest,
                          ::testing::Values(st::WakePolicy::kDeferred,
                                            st::WakePolicy::kImmediate));
 
-/// Counts live instances, so a leaked or doubly freed future cell shows.
-struct Tracked {
-  static inline std::atomic<int> live{0};
-  int v = 0;
-  explicit Tracked(int x) : v(x) { live.fetch_add(1); }
-  Tracked(const Tracked& o) : v(o.v) { live.fetch_add(1); }
-  Tracked(Tracked&& o) noexcept : v(o.v) { live.fetch_add(1); }
-  ~Tracked() { live.fetch_sub(1); }
-};
-
 TEST(FutureRace, WaitersParkEnlistRacesSetAndHandlesDropElsewhere) {
   std::atomic<int> ok{0};
   static constexpr int kRounds = 300;
@@ -348,6 +389,143 @@ TEST(FutureRace, WaitersParkEnlistRacesSetAndHandlesDropElsewhere) {
   }  // joins the workers: every closure and handle copy is gone
   EXPECT_EQ(ok.load(), kRounds * kWaiters);
   EXPECT_EQ(Tracked::live.load(), 0);
+}
+
+// -- future-cell ownership and the per-worker cell cache (DESIGN.md §5.16) ---
+
+TEST(FutureCell, AbandonedCellIsFreedByItsProducer) {
+  // The producer parks before set(); the root is stolen while a spinner
+  // holds the spawning worker, drops the only handle on the thief, and
+  // restarts the producer, whose set() finds kAbandoned and frees.
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw < 2) GTEST_SKIP() << "needs at least 2 hardware threads";
+  unsigned spawned_on = 0, dropped_on = 0;
+  bool pending_at_drop = false;
+  {
+    st::Runtime rt(2);
+    rt.run([&] {
+      st::Continuation producer;
+      std::atomic<int> phase{0};
+      st::JoinCounter spun(1);
+      st::Future<Tracked> f = st::spawn([&producer] {
+        st::suspend(&producer);
+        return Tracked(7);
+      });
+      spawned_on = st::worker_id();
+      st::fork([&phase, &spun] {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (phase.load(std::memory_order_acquire) == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+          st::poll();
+        }
+        spun.finish();
+      });
+      dropped_on = st::worker_id();
+      pending_at_drop = !f.ready();
+      { st::Future<Tracked> last = std::move(f); }  // the last handle drops here
+      phase.store(1, std::memory_order_release);
+      st::restart(&producer);
+      spun.join();
+    });
+  }
+  EXPECT_TRUE(pending_at_drop);
+  EXPECT_NE(spawned_on, dropped_on);
+  EXPECT_EQ(Tracked::live.load(), 0);  // the value was destroyed exactly once
+}
+
+/// Tracks on which worker each value is destroyed relative to where it was
+/// made: a cell freed away from its producer's worker shows as `away`.
+struct Homed {
+  static inline std::atomic<int> live{0};
+  static inline std::atomic<int> away{0};
+  unsigned home;
+  long v;
+  explicit Homed(long x) : home(st::worker_id()), v(x) { live.fetch_add(1); }
+  Homed(Homed&& o) noexcept : home(o.home), v(o.v) { live.fetch_add(1); }
+  ~Homed() {
+    live.fetch_sub(1);
+    if (st::on_worker() && st::worker_id() != home) away.fetch_add(1);
+  }
+};
+
+long homed_fib(int n) {
+  if (n < 2) return n;
+  st::Future<Homed> a = st::spawn([n] { return Homed(homed_fib(n - 1)); });
+  const long b = homed_fib(n - 2);
+  return a.get().v + b;
+}
+
+TEST(FutureCell, CrossWorkerFreesKeepEveryCacheWithinItsCap) {
+  st::Runtime rt(4);
+  bool correct = true;
+  rt.run([&] {
+    // Repeat until some cell was freed away from its producer's worker.
+    for (int round = 0; round < 200 && (round < 5 || Homed::away.load() == 0); ++round) {
+      correct = correct && homed_fib(14) == 377;
+      // Far more frees on one worker than the cap admits.
+      std::vector<st::Future<Homed>> many;
+      for (int i = 0; i < 4 * static_cast<int>(st::CellCache::kCap); ++i) {
+        many.push_back(st::spawn([i] { return Homed(i); }));
+      }
+      long sum = 0;
+      for (const auto& f : many) sum += f.get().v;
+      correct = correct && sum == 255L * 256 / 2;
+    }
+  });
+  EXPECT_TRUE(correct);
+  EXPECT_GT(Homed::away.load(), 0);
+  for (unsigned i = 0; i < rt.num_workers(); ++i) {
+    EXPECT_LE(rt.worker(i).cell_cache().size(), st::CellCache::kCap) << "worker " << i;
+  }
+  EXPECT_EQ(Homed::live.load(), 0);
+}
+
+TEST(FutureCell, HandleOutlivingItsRuntimeIsFreedOffWorker) {
+  std::optional<st::Future<Tracked>> kept;
+  {
+    st::Runtime rt(2);
+    rt.run([&] {
+      kept = st::spawn([] { return Tracked(5); });
+      EXPECT_EQ(kept->get().v, 5);
+    });
+  }  // the workers, and their cell caches, are gone
+  ASSERT_TRUE(kept->ready());
+  EXPECT_EQ(kept->get().v, 5);
+  kept.reset();  // freed on this (non-worker) thread, to the heap
+  EXPECT_EQ(Tracked::live.load(), 0);
+}
+
+/// A value whose cell does not fit a cache block.
+struct Big {
+  std::array<long, 16> v{};
+};
+static_assert(!st::FutureCell<Big>::cached());
+static_assert(st::FutureCell<long>::cached());
+static_assert(st::FutureCell<Tracked>::cached());
+
+TEST(FutureCell, OversizedValueBypassesTheCache) {
+  st::Runtime rt(1);
+  unsigned after_big = 1, after_small = 0;
+  bool correct = true;
+  rt.run([&] {
+    for (int i = 0; i < 50; ++i) {
+      st::Future<Big> f = st::spawn([i] {
+        Big b;
+        b.v.back() = i;
+        return b;
+      });
+      correct = correct && f.get().v.back() == i;
+    }
+    after_big = rt.worker(0).cell_cache().size();  // the only worker: us
+    for (int i = 0; i < 50; ++i) {
+      st::Future<long> f = st::spawn([i] { return static_cast<long>(i); });
+      correct = correct && f.get() == i;
+    }
+    after_small = rt.worker(0).cell_cache().size();
+  });
+  EXPECT_TRUE(correct);
+  EXPECT_EQ(after_big, 0u);
+  EXPECT_GT(after_small, 0u);
 }
 
 // -- annotated runs: the protocols' happens-before edges ---------------------

@@ -8,9 +8,12 @@ Prints one row per benchmark present in both files with the ns/op delta,
 lists benchmarks only one side has, and exits nonzero when any shared
 benchmark regressed by more than the threshold (default 10%).  The
 "meta" provenance block each artifact carries (git sha, dispatch knob,
-scale, reps, engines) is echoed so a CI log records what was compared;
-mismatched scale/reps are flagged as a warning because the comparison is
-then across different workloads, not different code.
+scale, reps, engines, host) is echoed so a CI log records what was
+compared; mismatched scale/reps are flagged as a warning because the
+comparison is then across different workloads, not different code.
+When the host stamps (nproc, cpu_model) differ, or one side lacks them,
+the diff is printed as informational and the exit status is 0: timings
+from two machines do not gate each other.
 """
 
 import argparse
@@ -22,6 +25,9 @@ import sys
 # locality shift is visible in the CI log, but never flagged as timing
 # regressions -- counts legitimately move with scheduling noise.
 INFORMATIONAL_PREFIXES = ("steal_", "idle_")
+
+# Meta keys that identify the machine a file was measured on.
+HOST_KEYS = ("nproc", "cpu_model")
 
 
 def load(path):
@@ -57,6 +63,11 @@ def main():
             print(f"WARNING: {knob} differs ({base_meta.get(knob)} vs "
                   f"{cand_meta.get(knob)}); deltas compare different workloads")
             warnings += 1
+    same_host = all(base_meta.get(k) is not None and base_meta.get(k) == cand_meta.get(k)
+                    for k in HOST_KEYS)
+    if not same_host:
+        print("different host: informational (" + ", ".join(
+            f"{k} {base_meta.get(k)!r} vs {cand_meta.get(k)!r}" for k in HOST_KEYS) + ")")
 
     shared = sorted(set(base) & set(cand))
     only_base = sorted(set(base) - set(cand))
@@ -88,6 +99,9 @@ def main():
               f"{args.threshold:.0f}%:")
         for name, delta in regressions:
             print(f"  {name}: +{delta:.1f}%")
+        if not same_host:
+            print("different host: informational, not a gate")
+            return 0
         return 1
     print(f"\nno regressions above {args.threshold:.0f}% "
           f"({len(shared)} shared benchmark(s))")

@@ -25,8 +25,9 @@
 //      forked child's completion read its old thread's worker this way).
 //      Rule: a body not marked `noinline` may not read `tl_worker` on
 //      both sides of a migration point (`->invoke(`, `suspend(`,
-//      `st_ctx_swap(`, `st_ctx_fork(`); the later read belongs in a
-//      noinline function (runtime.cpp's complete_child).
+//      `st_ctx_swap(`, `st_ctx_fork(`, or a future's `.get(`/`->get(`,
+//      which may suspend); the later read belongs in a noinline function
+//      (runtime.cpp's complete_child, future.hpp's cell_block_give).
 //
 // The scanner is a character-level pass: comments and string/char
 // literals are stripped (newlines preserved), brace depth is tracked,
@@ -119,9 +120,9 @@ const char* const kSuspendMarkers[] = {
 };
 
 /// Calls after which the same function body may run on another OS
-/// thread (rule 3); `invoke` counts only as `->invoke(`.
+/// thread (rule 3); `invoke` and `get` count only as member calls.
 const char* const kMigrationMarkers[] = {
-    "suspend", "st_ctx_swap", "st_ctx_fork", "invoke",
+    "suspend", "st_ctx_swap", "st_ctx_fork", "invoke", "get",
 };
 
 /// Blocking io:: entry points (each suspends internally on would-block).
@@ -222,9 +223,10 @@ void scan(const std::string& file, const std::string& raw, std::vector<Violation
     for (const char* m : kMigrationMarkers) {
       if (word_at(text, i, m)) {
         const bool arrow = i >= 2 && text[i - 1] == '>' && text[i - 2] == '-';
+        const bool member = arrow || (i >= 1 && text[i - 1] == '.');
+        const bool needs_member = std::strcmp(m, "invoke") == 0 || std::strcmp(m, "get") == 0;
         std::size_t j = skip_ws(text, i + std::strlen(m));
-        if (j < text.size() && text[j] == '(' &&
-            (std::strcmp(m, "invoke") != 0 || arrow)) {
+        if (j < text.size() && text[j] == '(' && (!needs_member || member)) {
           ++migrations;
         }
         break;
@@ -346,6 +348,21 @@ int run_self_test() {
        "  s->invoke(s->closure);\n"
        "  complete_child(s);\n"
        "}\n", 0},
+      {"future handle drop reads the cell cache on both sides of get()",
+       "template <typename T> Future<T>::~Future() {\n"
+       "  void* spare = tl_worker->cell_cache().take();\n"
+       "  consume(cell_->get());\n"
+       "  tl_worker->cell_cache().give(cell_);\n"
+       "  tl_worker->cell_cache().give(spare);\n"
+       "}\n", 1},
+      {"future cell cache behind noinline helpers ok",
+       "[[gnu::noinline]] void* cell_block_take() {\n"
+       "  return tl_worker->cell_cache().take(); }\n"
+       "[[gnu::noinline]] void cell_block_give(void* p) {\n"
+       "  tl_worker->cell_cache().give(p); }\n"
+       "template <typename T> Future<T>::~Future() {\n"
+       "  void* spare = cell_block_take(); consume(cell_->get());\n"
+       "  cell_block_give(cell_); cell_block_give(spare); }\n", 0},
       {"a plain invoke( call is no migration point",
        "void f(Fn* fn) { Worker* a = tl_worker; invoke(fn); Worker* b =\n"
        "  tl_worker; (void)a; (void)b; }\n", 0},

@@ -3,8 +3,8 @@
 // leaf/transitive criterion) and what the augmented epilogues cost in
 // executed instructions -- the ISA-independent analogue of the
 // Figure 17-20 "postprocessing" bars.  A second phase times the same
-// programs under every engine (switch, predecoded threaded dispatch and,
-// where available, the JIT), on 1 and 4 virtual workers, asserting
+// programs under both engines (switch and, where available, the JIT),
+// on 1 and 4 virtual workers, asserting
 // identical architectural instruction counts -- the wall-clock "run
 // phase" CI tracks via --json.
 #include <cstdio>
@@ -81,13 +81,13 @@ int main(int argc, char** argv) {
               "executed instructions (the paper: 4-7 instructions per augmented\n"
               "return; quoted totals 1%%-13%% depending on CPU).\n");
 
-  // ---- interpreter run phase: switch vs predecoded threaded dispatch ----
+  // ---- engine run phase: switch vs jit ----
   // Larger arguments than the cost phase so each run is milliseconds of
-  // pure interpretation; both engines must retire the same instruction
-  // count (fusion and predecode are architecturally invisible).
+  // pure execution; both engines must retire the same instruction count
+  // (native compilation is architecturally invisible).
   // figure15 is microseconds of work -- great for the cost table above,
   // pure timer noise as a wall-clock cell -- so the timed set swaps it
-  // for psum, which stresses the memory-op and fork/join fusion paths.
+  // for psum, which stresses the memory-op and fork/join paths.
   auto prog = [&](const std::string& source, bool with_stdlib) {
     std::string src = source;
     if (with_stdlib) src += "\n" + programs::stdlib();
@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
       {"pfib(20)x4", prog(programs::pfib(), true), "pmain", {20}, 4},
       {"psum(60k)x4", prog(programs::psum(), true), "psum_main", {60000}, 4},
   };
-  std::printf("\nInterpreter dispatch engines on the same programs\n"
-              "(ST_STVM_DISPATCH=switch is the pre-predecode baseline):\n\n");
+  std::printf("\nExecution engines on the same programs\n"
+              "(ST_STVM_DISPATCH=switch is the portable baseline):\n\n");
   if (!bench::compare_engines(run_cells)) return 1;
   if (!bench::json_finish("stvm_postproc")) return 1;
   return 0;

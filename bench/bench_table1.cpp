@@ -2,7 +2,7 @@
 // by multiprocessor support and compilation strategy, extended with the
 // two artifacts this repository implements.  A run phase makes the
 // "use standard compiler" rows concrete: STC-compiled sequential code
-// executed under both STVM interpreter engines, timed via --json.
+// executed under both STVM engines (switch and jit), timed via --json.
 #include <cstdio>
 
 #include "bench/harness.hpp"
@@ -26,7 +26,7 @@ func main(n) { exit(fib(n)); }
 )";
 
 // Loop-heavy counterpart: naive codegen spills every temporary, so this
-// stresses the frame-slot load/store superinstruction fusion.
+// stresses frame-slot loads and stores.
 const char* kStcSum = R"(
 func main(n) {
   var s = 0;
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   t.print();
 
   std::printf("\nThe 'standard toy compiler' row, timed: STC output through\n"
-              "the postprocessor, interpreted by both STVM engines:\n\n");
+              "the postprocessor, run by both STVM engines:\n\n");
   const std::vector<bench::EngineCell> cells = {
       {"stc_fib(25)", compile(kStcFib), "main", {25}},
       {"stc_sum(400k)", compile(kStcSum), "main", {400000}},

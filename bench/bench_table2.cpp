@@ -1,8 +1,8 @@
 // Table 2 of the paper: machine settings for the parallel benchmarks.
 // The paper used a Sun Ultra Enterprise 10000 (64 x 250 MHz, 8 GB); we
 // report the reproduction host detected at runtime, then time the
-// parallel STVM programs at a multi-worker setting under both
-// interpreter engines (--json for the CI artifact).
+// parallel STVM programs at a multi-worker setting under both STVM
+// engines, switch and jit (--json for the CI artifact).
 #include <unistd.h>
 
 #include <algorithm>
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     return postprocess(assemble(source + "\n" + programs::stdlib()),
                        /*force_augment_all=*/false);
   };
-  std::printf("\nParallel programs at workers=%u under both interpreter "
+  std::printf("\nParallel programs at workers=%u under both STVM "
               "engines:\n\n", workers);
   const std::vector<bench::EngineCell> cells = {
       {"pfib(21)/w" + std::to_string(workers), prog(stvm::programs::pfib()),

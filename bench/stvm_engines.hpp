@@ -1,10 +1,9 @@
 // Shared "run phase" for the STVM benchmark suites: times the same
-// postprocessed program under every execution engine (portable switch,
-// predecoded direct-threaded dispatch, and -- where the host supports it
-// -- the baseline template JIT; DESIGN.md "Run-form stream" and §5.13),
-// asserts the architectural instruction counts match (predecode, fusion
-// and native compilation must all be invisible), and emits one --json
-// cell per engine so CI artifacts track the dispatch speedups over time.
+// postprocessed program under both execution engines (the portable
+// switch interpreter and -- where the host supports it -- the baseline
+// template JIT; DESIGN.md §5.13), asserts the architectural instruction
+// counts match (native compilation must be invisible), and emits one
+// --json cell per engine so CI artifacts track the JIT speedup over time.
 #pragma once
 
 #include <cmath>
@@ -27,13 +26,11 @@ struct EngineCell {
 };
 
 /// Best-of-reps() wall time of one engine on one cell.  The Vm is
-/// constructed outside the timer for the switch engine and inside the
-/// measured region for neither: predecode cost is part of Vm
-/// construction and deliberately excluded -- the run phases measure
-/// steady-state interpretation (predecode is linear and runs once; the
-/// JIT's template emission is likewise linear one-shot work).
+/// constructed outside the timer: predecode and the JIT's template
+/// emission are linear one-shot work, so the run phases measure steady
+/// state execution.
 inline double time_engine(const EngineCell& cell, stvm::VmConfig::Dispatch d,
-                          std::uint64_t* instrs, std::size_t* fused) {
+                          std::uint64_t* instrs) {
   double best = 1e100;
   for (long r = 0; r < reps(); ++r) {
     stvm::VmConfig cfg;
@@ -44,78 +41,59 @@ inline double time_engine(const EngineCell& cell, stvm::VmConfig::Dispatch d,
     vm.run(cell.entry, cell.args);
     best = std::min(best, t.seconds());
     *instrs = vm.stats().instructions;
-    if (fused != nullptr && d == stvm::VmConfig::Dispatch::kThreaded) {
-      *fused = vm.predecoded().fused_groups;
-    }
   }
   return best;
 }
 
-/// Runs every cell under all available engines, printing the comparison
-/// table and the geomean speedups.  Returns false (after finishing the
-/// table) if any cell retired different architectural instruction counts
-/// under two engines -- the suites exit nonzero on that so CI fails
-/// loudly.  The JIT column only appears when this build/host can emit
-/// native code (x86-64 Linux, see docs/OBSERVABILITY.md).
+/// Runs every cell under both engines, printing the comparison table and
+/// the geomean speedup.  Returns false (after finishing the table) if
+/// any cell retired different architectural instruction counts under the
+/// two engines -- the suites exit nonzero on that so CI fails loudly.
+/// The JIT column only appears when this build/host can emit native
+/// code (x86-64 Linux, see docs/OBSERVABILITY.md).
 inline bool compare_engines(const std::vector<EngineCell>& cells) {
   const bool jit = stvm::Vm::jit_supported();
-  json_writer().set_meta("engines",
-                         jit ? "switch,threaded,jit" : "switch,threaded");
-  std::vector<std::string> cols = {"program", "switch (ms)", "threaded (ms)"};
-  if (jit) cols.push_back("jit (ms)");
-  cols.push_back("thr/sw");
-  if (jit) cols.push_back("jit/thr");
-  cols.push_back("fused groups");
-  cols.push_back(jit ? "Minstr/s (jit)" : "Minstr/s (threaded)");
+  json_writer().set_meta("engines", jit ? "switch,jit" : "switch");
+  std::vector<std::string> cols = {"program", "switch (ms)"};
+  if (jit) {
+    cols.push_back("jit (ms)");
+    cols.push_back("jit/sw");
+  }
+  cols.push_back(jit ? "Minstr/s (jit)" : "Minstr/s (switch)");
   stu::Table table(cols);
-  double geo_th = 1.0, geo_jit = 1.0;
+  double geo = 1.0;
   int n = 0;
   bool ok = true;
   for (const auto& cell : cells) {
-    std::uint64_t instrs_sw = 0, instrs_th = 0, instrs_jit = 0;
-    std::size_t fused = 0;
-    const double sw =
-        time_engine(cell, stvm::VmConfig::Dispatch::kSwitch, &instrs_sw, nullptr);
-    const double th =
-        time_engine(cell, stvm::VmConfig::Dispatch::kThreaded, &instrs_th, &fused);
+    std::uint64_t instrs_sw = 0, instrs_jit = 0;
+    const double sw = time_engine(cell, stvm::VmConfig::Dispatch::kSwitch, &instrs_sw);
     const double jt =
-        jit ? time_engine(cell, stvm::VmConfig::Dispatch::kJit, &instrs_jit, nullptr)
-            : 0.0;
-    if (instrs_sw != instrs_th || (jit && instrs_sw != instrs_jit)) {
+        jit ? time_engine(cell, stvm::VmConfig::Dispatch::kJit, &instrs_jit) : 0.0;
+    if (jit && instrs_sw != instrs_jit) {
       std::fprintf(stderr,
                    "FATAL: %s retired %llu instructions under switch dispatch "
-                   "but %llu under threaded and %llu under jit dispatch\n",
+                   "but %llu under jit dispatch\n",
                    cell.name.c_str(), static_cast<unsigned long long>(instrs_sw),
-                   static_cast<unsigned long long>(instrs_th),
                    static_cast<unsigned long long>(instrs_jit));
       ok = false;
       continue;
     }
     json_record(cell.name + "/run/switch", sw, reps());
-    json_record(cell.name + "/run/threaded", th, reps());
     if (jit) json_record(cell.name + "/run/jit", jt, reps());
-    const double fast = jit ? jt : th;
-    std::vector<std::string> row = {cell.name, stu::Table::num(sw * 1e3, 3),
-                                    stu::Table::num(th * 1e3, 3)};
-    if (jit) row.push_back(stu::Table::num(jt * 1e3, 3));
-    row.push_back(stu::Table::num(sw / th, 2));
-    if (jit) row.push_back(stu::Table::num(th / jt, 2));
-    row.push_back(std::to_string(fused));
-    row.push_back(
-        stu::Table::num(static_cast<double>(instrs_sw) / fast / 1e6, 1));
+    const double fast = jit ? jt : sw;
+    std::vector<std::string> row = {cell.name, stu::Table::num(sw * 1e3, 3)};
+    if (jit) {
+      row.push_back(stu::Table::num(jt * 1e3, 3));
+      row.push_back(stu::Table::num(sw / jt, 2));
+      geo *= sw / jt;
+    }
+    row.push_back(stu::Table::num(static_cast<double>(instrs_sw) / fast / 1e6, 1));
     table.add_row(row);
-    geo_th *= sw / th;
-    if (jit) geo_jit *= th / jt;
     ++n;
   }
   table.print();
-  if (n > 0) {
-    std::printf("\ngeomean speedup (threaded over switch): %.2fx\n",
-                std::pow(geo_th, 1.0 / n));
-    if (jit) {
-      std::printf("geomean speedup (jit over threaded):    %.2fx\n",
-                  std::pow(geo_jit, 1.0 / n));
-    }
+  if (jit && n > 0) {
+    std::printf("\ngeomean speedup (jit over switch): %.2fx\n", std::pow(geo, 1.0 / n));
   }
   return ok;
 }

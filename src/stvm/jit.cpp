@@ -268,7 +268,7 @@ bool JitProgram::compile(const Predecoded& pre, std::int64_t code_size,
                          std::uint64_t mem_words, Word* mem_base, JitState* state,
                          std::uint64_t* op_retired) {
   // The bounds check compares against a sign-extended imm32; a span that
-  // does not fit delegates the whole module to the interpreters.
+  // does not fit delegates the whole module to the switch engine.
   if (mem_words == 0 || mem_words - 1 > 0x7FFFFFFFull ||
       code_size + 1 != static_cast<std::int64_t>(pre.rcode.size()) ||
       code_size >= 0x7FFFFFFF) {
@@ -369,7 +369,7 @@ bool JitProgram::compile(const Predecoded& pre, std::int64_t code_size,
     e.jmp32_to(stub);
   };
   // Budget gate: every translated instruction spends its budget *before*
-  // any side effect, exactly like the interpreters.  `sub; jl` macro-
+  // any side effect, exactly like the switch engine.  `sub; jl` macro-
   // fuses, the not-taken fall-through is free, and the refund on the
   // exit path keeps "budget exhausted leaves the pc unexecuted" exact.
   auto budget_gate = [&](std::int64_t pc) {
@@ -665,7 +665,7 @@ bool JitProgram::compile(const Predecoded& pre, std::int64_t code_size,
         e.mov_r_mem(kRax, kRax, 32);  // maxe
         store_vr(r.d);
         break;
-      default:  // superinstructions never appear in the unfused stream
+      default:  // kCount is not a handler
         bare_cold(pc);
         break;
     }

@@ -1,18 +1,18 @@
 // Baseline template JIT for the STVM (the default engine where native
-// emission is available; ST_STVM_DISPATCH=jit): compiles the *unfused*
-// run-form stream (predecode.hpp) to native x86-64, one block per
+// emission is available; ST_STVM_DISPATCH=jit): compiles the run-form
+// stream (predecode.hpp) to native x86-64, one block per
 // architectural instruction, into a per-module W^X buffer.
 //
 // Design contract (DESIGN.md §5.13):
 //  - Block i implements architectural instruction i, so the native
 //    instruction pointer is always at a block head whose index IS the
 //    architectural pc -- suspend, unwind, trampoline return and
-//    fork-point lookup need no deopt maps, exactly like the threaded
-//    engine's 1:1 run stream.
+//    fork-point lookup need no deopt maps, exactly like the switch
+//    engine's architectural stream.
 //  - The quantum budget lives in a host register and is checked and
 //    decremented once per architectural instruction *before* that
 //    instruction's side effects, so multi-worker interleaving and
-//    sched-log replay digests are bit-identical to both interpreters.
+//    sched-log replay digests are bit-identical to the switch engine.
 //  - Cold operations (builtin calls, halt, trampoline/builtin jump
 //    targets, division, anything touching an unmapped register where no
 //    scratch is free) exit to the host at the *unexecuted* instruction's
@@ -43,7 +43,7 @@ namespace stvm {
 
 /// True when this build can emit and execute native code (x86-64 Linux
 /// with a GNU-flavoured toolchain).  Elsewhere JitProgram::compile
-/// returns false and the Vm constructor falls back to the threaded
+/// returns false and the Vm constructor falls back to the switch
 /// engine (docs/OBSERVABILITY.md, ST_STVM_DISPATCH=jit).
 bool jit_available();
 
@@ -89,15 +89,14 @@ class JitProgram {
   JitProgram(const JitProgram&) = delete;
   JitProgram& operator=(const JitProgram&) = delete;
 
-  /// Compiles the unfused run-form stream (pre.rcode, code_size + 1
+  /// Compiles the run-form stream (pre.rcode, code_size + 1
   /// slots including the kBadPc sentinel).  `op_retired` is null when
   /// the opcode histogram is off: the counting stores are then simply
-  /// not emitted, the JIT's analogue of the interpreters' coalesced
-  /// engine-flags test (the no-hooks specialization pays nothing).
+  /// not emitted, so a run without the histogram pays nothing for it.
   /// Returns false -- leaving the program empty -- when native emission
   /// is unavailable on this build/host, when the memory span does not
   /// fit the emitted 32-bit bounds-check immediates, or when mmap/
-  /// mprotect fail; the caller falls back to an interpreter.
+  /// mprotect fail; the caller falls back to the switch engine.
   bool compile(const Predecoded& pre, std::int64_t code_size, std::uint64_t mem_words,
                Word* mem_base, JitState* state, std::uint64_t* op_retired);
 

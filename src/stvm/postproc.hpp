@@ -74,7 +74,7 @@ struct PostprocResult {
   /// Static-verifier memo (verify.cpp): 1 after this module verified
   /// cleanly.  The verdict is a property of the module, not of any
   /// engine instantiation, so under ST_VERIFY=1 a module shared by
-  /// several Vms (the differential suites run switch/threaded/jit over
+  /// several Vms (the differential suites run switch/jit over
   /// one PostprocResult) is verified exactly once.  Mutable because
   /// verification takes the module by const reference.
   mutable int verify_verdict = 0;

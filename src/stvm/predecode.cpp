@@ -29,474 +29,62 @@ const char* run_op_name(RunOp op) {
     case RunOp::kHalt: return "halt";
     case RunOp::kCallBuiltin: return "call.builtin";
     case RunOp::kBadPc: return "badpc";
-    case RunOp::kSupAddiLd: return "addi+ld";
-    case RunOp::kSupAddiSt: return "addi+st";
-    case RunOp::kSupSubiSt: return "subi+st";
-    case RunOp::kSupStAddi: return "st+addi";
-    case RunOp::kSupStLi: return "st+li";
-    case RunOp::kSupStLd: return "st+ld";
-    case RunOp::kSupStSt: return "st+st";
-    case RunOp::kSupLdSt: return "ld+st";
-    case RunOp::kSupLdLd: return "ld+ld";
-    case RunOp::kSupLdMov: return "ld+mov";
-    case RunOp::kSupLdAdd: return "ld+add";
-    case RunOp::kSupLdSub: return "ld+sub";
-    case RunOp::kSupLdMul: return "ld+mul";
-    case RunOp::kSupLdJr: return "ld+jr";
-    case RunOp::kSupMovLd: return "mov+ld";
-    case RunOp::kSupLiSt: return "li+st";
-    case RunOp::kSupLiCall: return "li+call";
-    case RunOp::kSupLiBeq: return "li+beq";
-    case RunOp::kSupLiBne: return "li+bne";
-    case RunOp::kSupLiBlt: return "li+blt";
-    case RunOp::kSupLiBge: return "li+bge";
-    case RunOp::kSupLiBltu: return "li+bltu";
-    case RunOp::kSupLiBgeu: return "li+bgeu";
-    case RunOp::kSupAddiBeq: return "addi+beq";
-    case RunOp::kSupAddiBne: return "addi+bne";
-    case RunOp::kSupAddiBlt: return "addi+blt";
-    case RunOp::kSupAddiBge: return "addi+bge";
-    case RunOp::kSupAddiBltu: return "addi+bltu";
-    case RunOp::kSupAddiBgeu: return "addi+bgeu";
-    case RunOp::kSupAddJmp: return "add+jmp";
-    case RunOp::kSupAddiJmp: return "addi+jmp";
-    case RunOp::kSupMovJmp: return "mov+jmp";
-    case RunOp::kSupMovAddi: return "mov+addi";
-    case RunOp::kSupStCall: return "st+call";
-    case RunOp::kSupSubiStCall: return "subi+st+call";
-    case RunOp::kSupAddiStCall: return "addi+st+call";
-    case RunOp::kSupLdStCall: return "ld+st+call";
-    case RunOp::kSupLdAddJmp: return "ld+add+jmp";
-    case RunOp::kSupLdLdMov: return "ld+ld+mov";
-    case RunOp::kSupEpilogue: return "getmaxe+bgeu+bgeu";
-    case RunOp::kSupLdEpilogue: return "ld+getmaxe+bgeu+bgeu";
-    case RunOp::kSupSumLoop: return "ld+add+addi+jmp";
     case RunOp::kCount: break;
   }
   return "?";
 }
 
-int run_op_len(RunOp op) {
-  if (op == RunOp::kBadPc) return 0;
-  if (op < RunOp::kSupAddiLd) return 1;
-  switch (op) {
-    case RunOp::kSupSubiStCall:
-    case RunOp::kSupAddiStCall:
-    case RunOp::kSupLdStCall:
-    case RunOp::kSupLdAddJmp:
-    case RunOp::kSupLdLdMov:
-    case RunOp::kSupEpilogue:
-      return 3;
-    case RunOp::kSupLdEpilogue:
-    case RunOp::kSupSumLoop:
-      return 4;
-    default:
-      return 2;
-  }
-}
-
-namespace {
-
-/// Plain components of one dispatch of `op`, in architectural order.
-/// Mirrors the doc comments on the RunOp declaration (and run_op_name's
-/// "a+b+c" strings); run_op_len(op) components are written.
-int run_op_components(RunOp op, RunOp out[4]) {
-  // The two branch-pair families are declared in cc order, so the second
-  // component is kBeq plus the offset inside the family.
-  if (op >= RunOp::kSupLiBeq && op <= RunOp::kSupLiBgeu) {
-    out[0] = RunOp::kLi;
-    out[1] = static_cast<RunOp>(static_cast<int>(RunOp::kBeq) +
-                                (static_cast<int>(op) -
-                                 static_cast<int>(RunOp::kSupLiBeq)));
-    return 2;
-  }
-  if (op >= RunOp::kSupAddiBeq && op <= RunOp::kSupAddiBgeu) {
-    out[0] = RunOp::kAddi;
-    out[1] = static_cast<RunOp>(static_cast<int>(RunOp::kBeq) +
-                                (static_cast<int>(op) -
-                                 static_cast<int>(RunOp::kSupAddiBeq)));
-    return 2;
-  }
-  auto two = [&](RunOp a, RunOp b) { out[0] = a; out[1] = b; return 2; };
-  auto three = [&](RunOp a, RunOp b, RunOp c) {
-    out[0] = a; out[1] = b; out[2] = c; return 3;
-  };
-  switch (op) {
-    case RunOp::kSupAddiLd: return two(RunOp::kAddi, RunOp::kLd);
-    case RunOp::kSupAddiSt: return two(RunOp::kAddi, RunOp::kSt);
-    case RunOp::kSupSubiSt: return two(RunOp::kSubi, RunOp::kSt);
-    case RunOp::kSupStAddi: return two(RunOp::kSt, RunOp::kAddi);
-    case RunOp::kSupStLi: return two(RunOp::kSt, RunOp::kLi);
-    case RunOp::kSupStLd: return two(RunOp::kSt, RunOp::kLd);
-    case RunOp::kSupStSt: return two(RunOp::kSt, RunOp::kSt);
-    case RunOp::kSupLdSt: return two(RunOp::kLd, RunOp::kSt);
-    case RunOp::kSupLdLd: return two(RunOp::kLd, RunOp::kLd);
-    case RunOp::kSupLdMov: return two(RunOp::kLd, RunOp::kMov);
-    case RunOp::kSupLdAdd: return two(RunOp::kLd, RunOp::kAdd);
-    case RunOp::kSupLdSub: return two(RunOp::kLd, RunOp::kSub);
-    case RunOp::kSupLdMul: return two(RunOp::kLd, RunOp::kMul);
-    case RunOp::kSupLdJr: return two(RunOp::kLd, RunOp::kJr);
-    case RunOp::kSupMovLd: return two(RunOp::kMov, RunOp::kLd);
-    case RunOp::kSupLiSt: return two(RunOp::kLi, RunOp::kSt);
-    case RunOp::kSupLiCall: return two(RunOp::kLi, RunOp::kCall);
-    case RunOp::kSupAddJmp: return two(RunOp::kAdd, RunOp::kJmp);
-    case RunOp::kSupAddiJmp: return two(RunOp::kAddi, RunOp::kJmp);
-    case RunOp::kSupMovJmp: return two(RunOp::kMov, RunOp::kJmp);
-    case RunOp::kSupMovAddi: return two(RunOp::kMov, RunOp::kAddi);
-    case RunOp::kSupStCall: return two(RunOp::kSt, RunOp::kCall);
-    case RunOp::kSupSubiStCall:
-      return three(RunOp::kSubi, RunOp::kSt, RunOp::kCall);
-    case RunOp::kSupAddiStCall:
-      return three(RunOp::kAddi, RunOp::kSt, RunOp::kCall);
-    case RunOp::kSupLdStCall:
-      return three(RunOp::kLd, RunOp::kSt, RunOp::kCall);
-    case RunOp::kSupLdAddJmp:
-      return three(RunOp::kLd, RunOp::kAdd, RunOp::kJmp);
-    case RunOp::kSupLdLdMov:
-      return three(RunOp::kLd, RunOp::kLd, RunOp::kMov);
-    case RunOp::kSupEpilogue:
-      return three(RunOp::kGetMaxE, RunOp::kBgeu, RunOp::kBgeu);
-    case RunOp::kSupLdEpilogue:
-      out[0] = RunOp::kLd; out[1] = RunOp::kGetMaxE;
-      out[2] = RunOp::kBgeu; out[3] = RunOp::kBgeu;
-      return 4;
-    case RunOp::kSupSumLoop:
-      out[0] = RunOp::kLd; out[1] = RunOp::kAdd;
-      out[2] = RunOp::kAddi; out[3] = RunOp::kJmp;
-      return 4;
-    default:
-      return 0;
-  }
-}
-
-}  // namespace
-
 std::array<std::uint64_t, kNumRunOps> canonicalize_opcode_histogram(
     const std::array<std::uint64_t, kNumRunOps>& h) {
   std::array<std::uint64_t, kNumRunOps> out{};
-  for (int i = 0; i < kNumRunOps; ++i) {
-    const RunOp op = static_cast<RunOp>(i);
-    const std::uint64_t n = h[static_cast<std::size_t>(i)];
-    if (n == 0) continue;
-    if (op < RunOp::kCallBuiltin) {
-      out[static_cast<std::size_t>(i)] += n;
-    } else if (op == RunOp::kCallBuiltin) {
-      // The split form is a decode-time distinction; architecturally it
-      // retired a call.
-      out[static_cast<std::size_t>(RunOp::kCall)] += n;
-    } else if (op != RunOp::kBadPc) {
-      RunOp comp[4];
-      const int k = run_op_components(op, comp);
-      for (int c = 0; c < k; ++c) out[static_cast<std::size_t>(comp[c])] += n;
-    }
+  for (int i = 0; i < static_cast<int>(RunOp::kCallBuiltin); ++i) {
+    out[static_cast<std::size_t>(i)] = h[static_cast<std::size_t>(i)];
   }
+  // The split form is a decode-time distinction; architecturally it
+  // retired a call.
+  out[static_cast<std::size_t>(RunOp::kCall)] +=
+      h[static_cast<std::size_t>(RunOp::kCallBuiltin)];
   return out;
 }
 
-namespace {
-
-bool is_branch(Op op) { return op >= Op::kBeq && op <= Op::kBgeu; }
-
-/// cc offset of a branch op relative to kBeq (0..5); the Sup*B groups are
-/// declared in the same order.
-int branch_cc(Op op) { return static_cast<int>(op) - static_cast<int>(Op::kBeq); }
-
-RInstr translate_plain(const Instr& ins) {
-  RInstr r;
-  r.len = 1;
-  r.d = static_cast<std::uint8_t>(ins.rd);
-  r.a = static_cast<std::uint8_t>(ins.ra);
-  r.b = static_cast<std::uint8_t>(ins.rb);
-  r.imm = ins.imm;
-  RunOp h = static_cast<RunOp>(ins.op);  // Op order mirrors the RunOp head
-  switch (ins.op) {
-    case Op::kCall:
-      if (ins.target >= kBuiltinBase) {
-        h = RunOp::kCallBuiltin;
-        r.imm = ins.target - kBuiltinBase;
-      } else {
-        r.t = static_cast<std::int32_t>(ins.target);
-      }
-      break;
-    case Op::kJmp:
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu:
-      r.t = static_cast<std::int32_t>(ins.target);
-      break;
-    default:
-      break;
-  }
-  r.h = r.alt = static_cast<std::uint8_t>(h);
-  return r;
-}
-
-}  // namespace
-
-Predecoded predecode(const std::vector<Instr>& code, bool enable_fusion) {
+Predecoded predecode(const std::vector<Instr>& code) {
   Predecoded out;
   out.rcode.resize(code.size() + 1);
-  for (std::size_t i = 0; i < code.size(); ++i) out.rcode[i] = translate_plain(code[i]);
-  // Sentinel: falling off the end (or a call/jmp resolved to the label at
-  // end-of-code) dispatches kBadPc, which reports "pc out of code range"
-  // exactly like the switch engine's fetch bounds check.  len 0 so it is
-  // dispatchable with any remaining budget and retires nothing.
-  RInstr& sentinel = out.rcode[code.size()];
-  sentinel.h = sentinel.alt = static_cast<std::uint8_t>(RunOp::kBadPc);
-  sentinel.len = 0;
-  if (!enable_fusion) return out;
-
-  // Greedy left-to-right fusion.  A fused group's tail slots keep their
-  // plain form (they are branch/resume targets and the quantum-boundary
-  // degrade path); only the head slot is rewritten.
-  auto fuse = [&](std::size_t i, RunOp h, RunOp alt, int len) -> RInstr& {
-    RInstr& r = out.rcode[i];
-    r.h = static_cast<std::uint8_t>(h);
-    r.alt = static_cast<std::uint8_t>(alt);
-    r.len = static_cast<std::uint8_t>(len);
-    ++out.fused_groups;
-    out.fused_slots += static_cast<std::size_t>(len);
-    return r;
-  };
-  auto sup_at = [](RunOp base, int cc) {
-    return static_cast<RunOp>(static_cast<int>(base) + cc);
-  };
-
-  // Known entry points: resolved branch/jmp/call targets plus the return
-  // slot after every call.  Entering a group mid-way is always correct
-  // (tail slots keep their plain form) but executes unfused, and these
-  // slots are exactly where hot join labels and call returns land -- so
-  // fusion is aligned to them: an entry point may head a group, never
-  // sit inside one.
-  std::vector<char> entry(code.size() + 1, 0);
   for (std::size_t i = 0; i < code.size(); ++i) {
     const Instr& ins = code[i];
-    if ((ins.op == Op::kJmp || ins.op == Op::kCall || is_branch(ins.op)) &&
-        ins.target >= 0 && ins.target < static_cast<Addr>(code.size()))
-      entry[static_cast<std::size_t>(ins.target)] = 1;
-    if (ins.op == Op::kCall || ins.op == Op::kCallr) entry[i + 1] = 1;
-  }
-  auto interior_free = [&](std::size_t head, int len) {
-    for (int k = 1; k < len; ++k)
-      if (entry[head + static_cast<std::size_t>(k)]) return false;
-    return true;
-  };
-
-  std::size_t i = 0;
-  while (i + 1 < code.size()) {
-    const Instr& f = code[i];
-    const Instr& s = code[i + 1];
-
-    // 4-wide augmented-return head: the return-address reload directly
-    // followed by the Section 5.2 splice (every augmented return the
-    // postprocessor emits has this shape).
-    if (f.op == Op::kLd && s.op == Op::kGetMaxE && i + 3 < code.size() &&
-        code[i + 2].op == Op::kBgeu && code[i + 2].rb == s.rd &&
-        code[i + 3].op == Op::kBgeu && interior_free(i, 4)) {
-      const Instr& b1 = code[i + 2];
-      const Instr& b2 = code[i + 3];
-      RInstr& r = fuse(i, RunOp::kSupLdEpilogue, RunOp::kLd, 4);
-      r.c = static_cast<std::uint8_t>(s.rd);
-      r.e = static_cast<std::uint8_t>(b1.ra);
-      r.t = static_cast<std::int32_t>(b1.target);
-      r.b = static_cast<std::uint8_t>(b2.ra);
-      r.imm2 = b2.rb;  // register index of the second compare's rhs
-      r.t2 = static_cast<std::int32_t>(b2.target);
-      ++out.epilogue_splices;
-      i += 4;
-      continue;
-    }
-
-    // The Section 5.2 augmented-epilogue splice: getmaxe rT; bgeu fp,rT,L;
-    // bgeu sp,fp,L.  Matched structurally (any registers, any targets) --
-    // the only requirement is that the first compare reads the sentinel
-    // register getmaxe just produced.
-    if (f.op == Op::kGetMaxE && i + 2 < code.size() && s.op == Op::kBgeu &&
-        s.rb == f.rd && code[i + 2].op == Op::kBgeu && interior_free(i, 3)) {
-      const Instr& th = code[i + 2];
-      RInstr& r = fuse(i, RunOp::kSupEpilogue, RunOp::kGetMaxE, 3);
-      r.d = static_cast<std::uint8_t>(f.rd);
-      r.a = static_cast<std::uint8_t>(s.ra);
-      r.t = static_cast<std::int32_t>(s.target);
-      r.b = static_cast<std::uint8_t>(th.ra);
-      r.c = static_cast<std::uint8_t>(th.rb);
-      r.t2 = static_cast<std::int32_t>(th.target);
-      ++out.epilogue_splices;
-      i += 3;
-      continue;
-    }
-
-    // Argument-staging triple: compute a value, push it at [sp+k], call.
-    // Matched before the pair rules, otherwise the greedy pass would take
-    // the compute+st pair and leave the call as a lone dispatch.  Only
-    // direct in-module calls fuse; builtin targets leave the engine.
-    if ((f.op == Op::kAddi || f.op == Op::kSubi || f.op == Op::kLd) &&
-        s.op == Op::kSt && i + 2 < code.size() && code[i + 2].op == Op::kCall &&
-        code[i + 2].target < kBuiltinBase && interior_free(i, 3)) {
-      const RunOp h3 = f.op == Op::kAddi   ? RunOp::kSupAddiStCall
-                       : f.op == Op::kSubi ? RunOp::kSupSubiStCall
-                                           : RunOp::kSupLdStCall;
-      RInstr& r = fuse(i, h3, static_cast<RunOp>(out.rcode[i].alt), 3);
-      r.c = static_cast<std::uint8_t>(s.rd);
-      r.b = static_cast<std::uint8_t>(s.ra);
-      r.imm2 = s.imm;
-      r.t = static_cast<std::int32_t>(code[i + 2].target);
-      i += 3;
-      continue;
-    }
-
-    // 4-wide reduction-loop body: load, accumulate, bump the (self
-    // incrementing) cursor, jump to the guard.
-    if (f.op == Op::kLd && s.op == Op::kAdd && i + 3 < code.size() &&
-        code[i + 2].op == Op::kAddi && code[i + 2].rd == code[i + 2].ra &&
-        code[i + 3].op == Op::kJmp && interior_free(i, 4)) {
-      const Instr& bump = code[i + 2];
-      RInstr& r = fuse(i, RunOp::kSupSumLoop, RunOp::kLd, 4);
-      r.c = static_cast<std::uint8_t>(s.rd);
-      r.b = static_cast<std::uint8_t>(s.ra);
-      r.e = static_cast<std::uint8_t>(s.rb);
-      r.t2 = static_cast<std::int32_t>(bump.rd);  // register index
-      r.imm2 = bump.imm;
-      r.t = static_cast<std::int32_t>(code[i + 3].target);
-      i += 4;
-      continue;
-    }
-
-    // Join tail: reload the forked result, combine, jump to the shared
-    // epilogue.
-    if (f.op == Op::kLd && s.op == Op::kAdd && i + 2 < code.size() &&
-        code[i + 2].op == Op::kJmp && interior_free(i, 3)) {
-      RInstr& r = fuse(i, RunOp::kSupLdAddJmp, RunOp::kLd, 3);
-      r.c = static_cast<std::uint8_t>(s.rd);
-      r.b = static_cast<std::uint8_t>(s.ra);
-      r.e = static_cast<std::uint8_t>(s.rb);
-      r.t = static_cast<std::int32_t>(code[i + 2].target);
-      i += 3;
-      continue;
-    }
-
-    // Shared-epilogue head: restore two slots, free the frame.
-    if (f.op == Op::kLd && s.op == Op::kLd && i + 2 < code.size() &&
-        code[i + 2].op == Op::kMov && interior_free(i, 3)) {
-      RInstr& r = fuse(i, RunOp::kSupLdLdMov, RunOp::kLd, 3);
-      r.c = static_cast<std::uint8_t>(s.rd);
-      r.b = static_cast<std::uint8_t>(s.ra);
-      r.imm2 = s.imm;
-      r.e = static_cast<std::uint8_t>(code[i + 2].rd);
-      r.t = static_cast<std::int32_t>(code[i + 2].ra);  // register index
-      i += 3;
-      continue;
-    }
-
-    // Pair rules.  Head operands were already packed in plain layout by
-    // translate_plain (d/a/imm); only the tail operands are added here.
-    RunOp h = RunOp::kCount;  // kCount = no match
-    if (entry[i + 1]) {
-      ++i;
-      continue;
-    }
-    switch (f.op) {
-      case Op::kAddi:
-      case Op::kSubi:
-        if (s.op == Op::kLd && f.op == Op::kAddi) h = RunOp::kSupAddiLd;
-        else if (s.op == Op::kSt) h = f.op == Op::kAddi ? RunOp::kSupAddiSt : RunOp::kSupSubiSt;
-        else if (s.op == Op::kJmp && f.op == Op::kAddi) h = RunOp::kSupAddiJmp;
-        else if (is_branch(s.op) && f.op == Op::kAddi) h = sup_at(RunOp::kSupAddiBeq, branch_cc(s.op));
-        break;
-      case Op::kSt:
-        if (s.op == Op::kAddi) h = RunOp::kSupStAddi;
-        else if (s.op == Op::kLi) h = RunOp::kSupStLi;
-        else if (s.op == Op::kLd) h = RunOp::kSupStLd;
-        else if (s.op == Op::kSt) h = RunOp::kSupStSt;
-        else if (s.op == Op::kCall && s.target < kBuiltinBase) h = RunOp::kSupStCall;
-        break;
-      case Op::kAdd:
-        if (s.op == Op::kJmp) h = RunOp::kSupAddJmp;
-        break;
-      case Op::kLd:
-        if (s.op == Op::kSt) h = RunOp::kSupLdSt;
-        else if (s.op == Op::kLd) h = RunOp::kSupLdLd;
-        else if (s.op == Op::kMov) h = RunOp::kSupLdMov;
-        else if (s.op == Op::kAdd) h = RunOp::kSupLdAdd;
-        else if (s.op == Op::kSub) h = RunOp::kSupLdSub;
-        else if (s.op == Op::kMul) h = RunOp::kSupLdMul;
-        else if (s.op == Op::kJr) h = RunOp::kSupLdJr;
-        break;
-      case Op::kMov:
-        if (s.op == Op::kLd) h = RunOp::kSupMovLd;
-        else if (s.op == Op::kAddi) h = RunOp::kSupMovAddi;
-        else if (s.op == Op::kJmp) h = RunOp::kSupMovJmp;
-        break;
-      case Op::kLi:
-        if (s.op == Op::kSt) h = RunOp::kSupLiSt;
-        else if (s.op == Op::kCall && s.target < kBuiltinBase) h = RunOp::kSupLiCall;
-        else if (is_branch(s.op)) h = sup_at(RunOp::kSupLiBeq, branch_cc(s.op));
-        break;
-      default:
-        break;
-    }
-    if (h == RunOp::kCount) {
-      ++i;
-      continue;
-    }
-    RInstr& r = fuse(i, h, static_cast<RunOp>(out.rcode[i].alt), 2);
-    switch (s.op) {  // tail operand packing, uniform per tail opcode
-      case Op::kLd:
-      case Op::kSt:
-        r.c = static_cast<std::uint8_t>(s.rd);
-        r.b = static_cast<std::uint8_t>(s.ra);
-        r.imm2 = s.imm;
-        break;
-      case Op::kAddi:
-        r.c = static_cast<std::uint8_t>(s.rd);
-        r.b = static_cast<std::uint8_t>(s.ra);
-        r.imm2 = s.imm;
-        break;
-      case Op::kLi:
-        r.c = static_cast<std::uint8_t>(s.rd);
-        r.imm2 = s.imm;
-        break;
-      case Op::kMov:
-        r.c = static_cast<std::uint8_t>(s.rd);
-        r.b = static_cast<std::uint8_t>(s.ra);
-        break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-        r.c = static_cast<std::uint8_t>(s.rd);
-        r.b = static_cast<std::uint8_t>(s.ra);
-        r.e = static_cast<std::uint8_t>(s.rb);
-        break;
-      case Op::kJr:
-        r.b = static_cast<std::uint8_t>(s.ra);
-        break;
+    RInstr& r = out.rcode[i];
+    r.d = static_cast<std::uint8_t>(ins.rd);
+    r.a = static_cast<std::uint8_t>(ins.ra);
+    r.b = static_cast<std::uint8_t>(ins.rb);
+    r.imm = ins.imm;
+    RunOp h = static_cast<RunOp>(ins.op);  // Op order mirrors the RunOp head
+    switch (ins.op) {
       case Op::kCall:
-      case Op::kJmp:
-        r.t = static_cast<std::int32_t>(s.target);
+        if (ins.target >= kBuiltinBase) {
+          h = RunOp::kCallBuiltin;
+          r.imm = ins.target - kBuiltinBase;
+        } else {
+          r.t = static_cast<std::int32_t>(ins.target);
+        }
         break;
+      case Op::kJmp:
       case Op::kBeq:
       case Op::kBne:
       case Op::kBlt:
       case Op::kBge:
       case Op::kBltu:
       case Op::kBgeu:
-        if (f.op == Op::kLi) {
-          r.a = static_cast<std::uint8_t>(s.ra);
-          r.b = static_cast<std::uint8_t>(s.rb);
-        } else {  // addi head occupies d/a
-          r.b = static_cast<std::uint8_t>(s.ra);
-          r.c = static_cast<std::uint8_t>(s.rb);
-        }
-        r.t = static_cast<std::int32_t>(s.target);
+        r.t = static_cast<std::int32_t>(ins.target);
         break;
       default:
         break;
     }
-    i += 2;
+    r.h = static_cast<std::uint8_t>(h);
   }
+  // Sentinel: falling off the end (or a call/jmp resolved to the label at
+  // end-of-code) reaches kBadPc, which reports "pc out of code range"
+  // exactly like the switch engine's fetch bounds check.
+  out.rcode[code.size()].h = static_cast<std::uint8_t>(RunOp::kBadPc);
   return out;
 }
 

@@ -1,33 +1,16 @@
 // Decode-time translation of linked STVM code into a *run-form* stream
-// for the direct-threaded interpreter (vm.cpp, ST_STVM_DISPATCH=threaded).
+// for the baseline JIT (jit.hpp), which compiles one native block per
+// slot.
 //
 // The run form is deliberately laid out 1:1 with the architectural
 // stream: slot i of the run stream corresponds to instruction i of the
 // module, so the run pc IS the architectural pc and the paper-visible
 // machinery (suspend/unwind resume pcs, trampoline return addresses,
 // fork-point lookups, fail() diagnostics) needs no translation table.
-// What changes per slot:
-//
-//   - operands are widened and re-packed into a dense POD (no label
-//     strings on the hot path; branch/call targets pre-resolved),
-//   - every opcode maps to a handler id the engine dispatches on with
-//     computed goto (the portable switch engine never reads this stream),
-//   - hot adjacent pairs -- and the Section 5.2 epilogue splice
-//     getmaxe/bgeu/bgeu -- are fused into superinstructions: the FIRST
-//     slot of a fused group carries the super handler plus both
-//     components' operands; the remaining slots keep their plain,
-//     unfused form.  Fall-through execution dispatches the super once
-//     and skips the tail slots; control entering mid-group (a branch
-//     target, a trampoline return, a suspend resume, a quantum boundary)
-//     lands on a tail slot and executes it unfused.  Fusion therefore
-//     never constrains where control may enter and is invisible to the
-//     architecture -- the static verifier's output is unchanged.
-//
-// Every fused slot also records `alt`, the plain handler of its first
-// component: when the quantum has fewer instructions left than the
-// group is wide, the engine degrades to `alt` for one architectural
-// instruction so quantum interleaving stays bit-identical to the switch
-// engine (differential fuzzing relies on this).
+// What changes per slot: operands are widened and re-packed into a
+// dense POD (no label strings; branch/call targets pre-resolved), and
+// calls to runtime entry points get their own handler id.  The portable
+// switch engine never reads this stream.
 #pragma once
 
 #include <array>
@@ -40,8 +23,7 @@ namespace stvm {
 
 /// Handler space of the run-form stream.  The first entries mirror Op
 /// one-to-one (same order -- the switch engine's per-opcode retirement
-/// histogram indexes them directly); then split forms; then the
-/// superinstructions.
+/// histogram indexes them directly); then the split forms.
 enum class RunOp : std::uint8_t {
   // -- mirrors of Op (keep in Op declaration order) ----------------------
   kLi, kMov, kAdd, kSub, kMul, kDiv, kAddi, kSubi, kLd, kSt,
@@ -50,98 +32,45 @@ enum class RunOp : std::uint8_t {
   // -- split forms -------------------------------------------------------
   kCallBuiltin,  ///< call whose resolved target is a runtime entry point
   kBadPc,        ///< out-of-code sentinel slot (index code.size())
-  // -- superinstructions (ISSUE 5 list + the hottest STC codegen pairs) --
-  kSupAddiLd,    ///< addi d,a,imm   ; ld c,[b+imm2]
-  kSupAddiSt,    ///< addi d,a,imm   ; st c,[b+imm2]
-  kSupSubiSt,    ///< subi d,a,imm   ; st c,[b+imm2]   (prologue head)
-  kSupStAddi,    ///< st d,[a+imm]   ; addi c,b,imm2
-  kSupStLi,      ///< st d,[a+imm]   ; li c,imm2
-  kSupStLd,      ///< st d,[a+imm]   ; ld c,[b+imm2]
-  kSupStSt,      ///< st d,[a+imm]   ; st c,[b+imm2]   (prologue saves)
-  kSupLdSt,      ///< ld d,[a+imm]   ; st c,[b+imm2]   (argument staging)
-  kSupLdLd,      ///< ld d,[a+imm]   ; ld c,[b+imm2]
-  kSupLdMov,     ///< ld d,[a+imm]   ; mov c,b         (epilogue head)
-  kSupLdAdd,     ///< ld d,[a+imm]   ; add c,b,e
-  kSupLdSub,     ///< ld d,[a+imm]   ; sub c,b,e
-  kSupLdMul,     ///< ld d,[a+imm]   ; mul c,b,e
-  kSupLdJr,      ///< ld d,[a+imm]   ; jr b            (epilogue tail)
-  kSupMovLd,     ///< mov d,a        ; ld c,[b+imm2]
-  kSupLiSt,      ///< li d,imm       ; st c,[b+imm2]
-  kSupLiCall,    ///< li d,imm       ; call t
-  kSupLiBeq, kSupLiBne, kSupLiBlt, kSupLiBge, kSupLiBltu, kSupLiBgeu,
-                 ///< li d,imm       ; b<cc> a,b,t
-  kSupAddiBeq, kSupAddiBne, kSupAddiBlt, kSupAddiBge, kSupAddiBltu,
-  kSupAddiBgeu,  ///< addi d,a,imm   ; b<cc> b,c,t
-  kSupAddJmp,    ///< add d,a,b      ; jmp t            (join-and-continue)
-  kSupAddiJmp,   ///< addi d,a,imm   ; jmp t            (loop back-edge)
-  kSupMovJmp,    ///< mov d,a        ; jmp t            (free frame, skip retire)
-  kSupMovAddi,   ///< mov d,a        ; addi c,b,imm2
-  kSupStCall,    ///< st d,[a+imm]   ; call t           (push arg, call)
-  // Three-wide argument-staging idiom: compute, push at [sp+k], call.
-  kSupSubiStCall,  ///< subi d,a,imm ; st c,[b+imm2] ; call t
-  kSupAddiStCall,  ///< addi d,a,imm ; st c,[b+imm2] ; call t
-  kSupLdStCall,    ///< ld d,[a+imm] ; st c,[b+imm2] ; call t
-  kSupLdAddJmp,  ///< ld d,[a+imm]  ; add c,b,e      ; jmp t  (join tail)
-  kSupLdLdMov,   ///< ld d,[a+imm]  ; ld c,[b+imm2]  ; mov e,(reg)t
-  kSupEpilogue,  ///< getmaxe d ; bgeu a,d,t ; bgeu b,c,t2  (the 5.2 splice)
-  kSupLdEpilogue,  ///< ld d,[a+imm] ; getmaxe c ; bgeu e,c,t ; bgeu b,(reg)imm2,t2
-  kSupSumLoop,   ///< ld d,[a+imm] ; add c,b,e ; addi (reg)t2,(reg)t2,imm2 ; jmp t
   kCount,
 };
 
 inline constexpr int kNumRunOps = static_cast<int>(RunOp::kCount);
 
-/// Human name for diagnostics / the retirement histogram ("addi+ld",
-/// "getmaxe+bgeu+bgeu", "call.builtin", ...).
+/// Human name for diagnostics / the retirement histogram ("addi",
+/// "call.builtin", ...).
 const char* run_op_name(RunOp op);
 
-/// Architectural instructions one dispatch of this handler retires
-/// (1 for plain ops, 2/3 for superinstructions, 0 for the sentinel).
-int run_op_len(RunOp op);
-
 /// Folds a retirement histogram (Vm::opcode_retired()) into canonical
-/// architectural opcode space: every superinstruction's count is
-/// re-attributed to its plain components, and the builtin-split call
-/// form rejoins kCall.  The threaded engine's early-exit paths already
-/// re-attribute partial dispatches (a counted super executed ALL of its
-/// components), so the fold is exact, not an estimate: histograms taken
-/// under any engine/fusion combination of the same program run compare
-/// bit-equal after canonicalization.  Only indices below kCallBuiltin
-/// (the Op mirror range) are nonzero in the result.
+/// architectural opcode space: the builtin-split call form rejoins
+/// kCall.  Histograms taken under either engine of the same program run
+/// compare bit-equal after canonicalization.  Only indices below
+/// kCallBuiltin (the Op mirror range) are nonzero in the result.
 std::array<std::uint64_t, kNumRunOps> canonicalize_opcode_histogram(
     const std::array<std::uint64_t, kNumRunOps>& h);
 
-/// One slot of the run-form stream (32 bytes, no indirection).  Field
-/// meaning is per-handler; the invariant is that a superinstruction's
-/// FIRST component uses exactly the field layout of its plain form
-/// (`alt`), so the quantum-boundary degrade path can dispatch `alt` on
-/// the same slot.
+/// One slot of the run-form stream.  Padded to 32 bytes: the stream's
+/// size decides which malloc bin it lands in, and with it which of two
+/// heap layouts perfbench's dnc-fine reads for peak_rss_mb
+/// (EXPERIMENTS.md).
 struct RInstr {
-  std::uint8_t h = 0;    ///< RunOp dispatched on the fall-through path
-  std::uint8_t alt = 0;  ///< plain RunOp of the first component (== h unfused)
-  std::uint8_t len = 1;  ///< architectural instructions this slot retires
-  std::uint8_t d = 0, a = 0, b = 0, c = 0, e = 0;  ///< register operands
-  std::int32_t t = 0;    ///< resolved primary target (code index)
-  std::int32_t t2 = 0;   ///< resolved secondary target (epilogue splice)
-  Word imm = 0;          ///< first component immediate / displacement
-  Word imm2 = 0;         ///< second component immediate / displacement
+  std::uint8_t h = 0;              ///< RunOp of this instruction
+  std::uint8_t d = 0, a = 0, b = 0;  ///< register operands
+  std::int32_t t = 0;              ///< resolved branch/call target (code index)
+  Word imm = 0;                    ///< immediate / displacement / builtin id
+  std::uint8_t pad[16] = {};
 };
-static_assert(sizeof(RInstr) == 32, "run-form slot should stay one half cache line");
+static_assert(sizeof(RInstr) == 32, "see the padding note above");
 
 struct Predecoded {
   /// code.size() + 1 slots; the last is the kBadPc sentinel so a pc that
   /// falls off the end fails exactly like the switch engine's bounds
   /// check instead of reading past the stream.
   std::vector<RInstr> rcode;
-  std::size_t fused_groups = 0;      ///< superinstructions formed
-  std::size_t fused_slots = 0;       ///< architectural instrs covered by them
-  std::size_t epilogue_splices = 0;  ///< kSupEpilogue count among them
 };
 
 /// Translates resolved (post-link, post-postprocessing) code into run
-/// form.  `enable_fusion` off produces a pure 1:1 plain stream -- used
-/// under VmConfig::validate so per-instruction validation points match
-/// the switch engine exactly, and for A/B measurement via ST_STVM_FUSE=0.
-Predecoded predecode(const std::vector<Instr>& code, bool enable_fusion);
+/// form, one slot per architectural instruction plus the sentinel.
+Predecoded predecode(const std::vector<Instr>& code);
 
 }  // namespace stvm

@@ -103,81 +103,40 @@ Vm::Vm(const PostprocResult& program, VmConfig cfg)
     W.regs[kSp] = W.stack_hi;
   }
 
-  // Engine selection and predecode.  The run-form stream is built once,
-  // after label resolution, so module/verify semantics are untouched;
-  // validate mode predecodes unfused so its per-instruction validation
-  // points line up with the switch engine.
-  enum class Engine { kSwitch, kThreaded, kJit };
-  Engine engine = Engine::kThreaded;
-  switch (cfg_.dispatch) {
-    case VmConfig::Dispatch::kSwitch: engine = Engine::kSwitch; break;
-    case VmConfig::Dispatch::kThreaded: engine = Engine::kThreaded; break;
-    case VmConfig::Dispatch::kJit: engine = Engine::kJit; break;
-    case VmConfig::Dispatch::kEnv: {
-      const std::string d = stu::env_string("ST_STVM_DISPATCH", "jit");
-      if (d == "switch") {
-        engine = Engine::kSwitch;
-      } else if (d == "threaded") {
-        engine = Engine::kThreaded;
-      } else if (d == "jit") {
-        engine = Engine::kJit;
-      } else {
-        throw VmError("ST_STVM_DISPATCH must be 'switch', 'threaded' or 'jit', got: " +
-                      d);
-      }
-      break;
+  // Engine selection.
+  bool jit = cfg_.dispatch != VmConfig::Dispatch::kSwitch;
+  if (cfg_.dispatch == VmConfig::Dispatch::kEnv) {
+    const std::string d = stu::env_string("ST_STVM_DISPATCH", "jit");
+    if (d != "switch" && d != "jit") {
+      throw VmError("ST_STVM_DISPATCH must be 'switch' or 'jit', got: " + d);
     }
+    jit = d == "jit";
   }
   // Access annotation (util/sched_log.hpp kSchedAccess) needs the
   // per-instruction seam only the switch engine has, so an annotating
-  // run forces it.  Schedules are engine-agnostic (every engine charges
+  // run forces it.  Schedules are engine-agnostic (both engines charge
   // budget per architectural instruction), so an analysis or explored
-  // interleaving from a switch-engine run transfers to the others.
+  // interleaving from a switch-engine run transfers to the JIT.
   annotate_ = stu::sched_annotating();
-  if (annotate_) engine = Engine::kSwitch;
+  counting_ = cfg_.count_opcodes || stu::metrics_enabled() || stu::trace_stats_enabled();
   // JIT fallback ladder (docs/OBSERVABILITY.md): native emission
   // unavailable on this build/host, validate mode (needs the
-  // per-instruction hook), or a module below ST_JIT_THRESHOLD
-  // instructions degrades cleanly to the threaded engine.
-  if (engine == Engine::kJit &&
-      (!jit_supported() || cfg_.validate ||
-       static_cast<long long>(code_.size()) < stu::env_long("ST_JIT_THRESHOLD", 0))) {
-    engine = Engine::kThreaded;
-  }
-#if !defined(__GNUC__)
-  // The computed-goto engine needs labels-as-values.
-  if (engine == Engine::kThreaded) engine = Engine::kSwitch;
-#endif
-  threaded_ = engine == Engine::kThreaded;
-  fuse_ = stu::env_long("ST_STVM_FUSE", 1) != 0 && !cfg_.validate;
-  if (threaded_) pre_ = predecode(code_, fuse_);
-  engine_flags_ = (cfg_.validate ? kEngineValidate : 0) |
-                  ((cfg_.count_opcodes || stu::metrics_enabled() ||
-                    stu::trace_stats_enabled())
-                       ? kEngineCount
-                       : 0);
-  if (engine == Engine::kJit) {
-    // The JIT translates the *unfused* stream: blocks are 1:1 with
-    // architectural instructions, so quantum boundaries and cold exits
-    // never land inside a group and no degrade path exists at all.
-    pre_ = predecode(code_, /*enable_fusion=*/false);
-    jit_ = std::make_unique<JitProgram>();
-    const bool counting = (engine_flags_ & kEngineCount) != 0;
-    if (jit_->compile(pre_, static_cast<std::int64_t>(code_.size()), memory_.size(),
-                      memory_.data(), &jit_state_,
-                      counting ? op_retired_.data() : nullptr)) {
-      jit_active_ = true;
-      jit_slots_.resize(cfg_.workers);
-    } else {
-      // Compile refused (e.g. a memory span beyond the emitted 32-bit
-      // bounds immediates): fall back like an unsupported host.
-      jit_.reset();
-      threaded_ = true;
-#if !defined(__GNUC__)
-      threaded_ = false;
-#endif
-      pre_ = threaded_ ? predecode(code_, fuse_) : Predecoded{};
-    }
+  // per-instruction hook) or a refused compile runs the switch engine.
+  // The run-form stream is built after label resolution, so module and
+  // verify semantics are untouched.
+  if (!jit || annotate_ || !jit_supported() || cfg_.validate) return;
+  pre_ = predecode(code_);
+  jit_ = std::make_unique<JitProgram>();
+  if (jit_->compile(pre_, static_cast<std::int64_t>(code_.size()), memory_.size(),
+                    memory_.data(), &jit_state_,
+                    counting_ ? op_retired_.data() : nullptr)) {
+    jit_active_ = true;
+    jit_slots_.resize(cfg_.workers);
+  } else {
+    // Compile refused (e.g. a memory span beyond the emitted 32-bit
+    // bounds immediates): fall back like an unsupported host.
+    jit_.reset();
+    pre_ = Predecoded{};
   }
 }
 
@@ -208,9 +167,8 @@ Vm::~Vm() {
                    static_cast<unsigned long long>(jit_counters_.native_rounds),
                    static_cast<unsigned long long>(jit_counters_.host_visits));
     }
-    std::fprintf(stderr, "[st-stats stvm opcodes dispatch=%s fuse=%d]",
-                 jit_active_ ? "jit" : threaded_ ? "threaded" : "switch",
-                 threaded_ && fuse_ ? 1 : 0);
+    std::fprintf(stderr, "[st-stats stvm opcodes dispatch=%s]",
+                 jit_active_ ? "jit" : "switch");
     for (int i = 0; i < kNumRunOps; ++i) {
       if (op_retired_[static_cast<std::size_t>(i)] == 0) continue;
       std::fprintf(stderr, " %s=%llu", run_op_name(static_cast<RunOp>(i)),
@@ -236,11 +194,6 @@ Word Vm::read_mem(Addr a) const {
     throw VmError("memory access out of range: " + std::to_string(a));
   }
   return memory_[static_cast<std::size_t>(a)];
-}
-
-void Vm::mem_oob(unsigned w, Addr a, Addr at) {
-  workers_[w].pc = at;
-  throw VmError("memory access out of range: " + std::to_string(a));
 }
 
 bool Vm::is_local(unsigned w, Addr addr) const {
@@ -384,7 +337,7 @@ void Vm::step_worker(unsigned w) {
       // so several quanta run as one native stretch.  The batch stops at
       // a multiple of the quantum that stays at-or-below max_steps, so a
       // runaway program still errors on exactly the boundary where the
-      // interpreters' per-sweep check fires (floor(room/quantum) is 0
+      // switch engine's per-sweep check fires (floor(room/quantum) is 0
       // there, degrading to single quanta).  Everything else that ends a
       // quantum early (halt, idle, faults) ends the batch the same way.
       const std::uint64_t q = static_cast<std::uint64_t>(budget);
@@ -396,8 +349,6 @@ void Vm::step_worker(unsigned w) {
       if (quanta > 1) b = static_cast<int>(quanta * q);
     }
     exec_jit(w, w, b);
-  } else if (threaded_) {
-    exec_quantum_threaded(w, budget);
   } else {
     for (int i = 0; i < budget; ++i) {
       exec_instr(w);
@@ -600,9 +551,9 @@ void Vm::exec_instr(unsigned w) {
   if (W.pc < 0 || W.pc >= static_cast<Addr>(code_.size())) fail(w, "pc out of code range");
   const Instr& ins = code_[static_cast<std::size_t>(W.pc)];
   ++stats_.instructions;
-  if (engine_flags_ & kEngineCount) [[unlikely]] {
+  if (counting_) [[unlikely]] {
     // Op mirrors the head of RunOp, so the plain opcode IS its histogram
-    // index (the switch engine never retires supers or split forms).
+    // index (the switch engine never retires split forms).
     ++op_retired_[static_cast<std::size_t>(ins.op)];
   }
   auto& R = W.regs;
@@ -703,669 +654,6 @@ void Vm::exec_instr(unsigned w) {
 }
 
 // ---------------------------------------------------------------------
-// The predecoded direct-threaded engine (DESIGN.md "Run-form stream").
-//
-// One quantum per call, architecturally bit-identical to the switch
-// engine above: same fail messages and W.pc values, same per-quantum
-// instruction counts, same interleaving (fused groups degrade to their
-// plain first component when fewer instructions remain in the quantum
-// than the group is wide).  Invariants the handlers rely on:
-//  - rpc is the architectural pc; W.pc is synced on every path that
-//    leaves the engine or can observe it (builtins, trampolines, fail).
-//  - budget is decremented once per architectural instruction, always
-//    *before* that instruction's first fault point (the switch engine
-//    counts an instruction before executing it); the Flush guard folds
-//    the retired count into stats_.instructions on every exit path.
-//  - memory_ never reallocates after construction (alloc_heap only bumps
-//    heap_next_), so m0/mspan hoisted here stay valid across builtins.
-// ---------------------------------------------------------------------
-
-#if defined(__GNUC__)
-
-void Vm::exec_quantum_threaded(unsigned w, int budget) {
-  if (engine_flags_ == 0) {
-    exec_quantum_threaded_impl<false>(w, budget);
-  } else {
-    exec_quantum_threaded_impl<true>(w, budget);
-  }
-}
-
-template <bool kSlow>
-void Vm::exec_quantum_threaded_impl(unsigned w, int budget) {
-  static const void* const kL[] = {
-      &&L_li, &&L_mov, &&L_add, &&L_sub, &&L_mul, &&L_div, &&L_addi, &&L_subi,
-      &&L_ld, &&L_st, &&L_call, &&L_callr, &&L_jmp, &&L_jr, &&L_beq, &&L_bne,
-      &&L_blt, &&L_bge, &&L_bltu, &&L_bgeu, &&L_fetchadd, &&L_getmaxe,
-      &&L_halt, &&L_callb, &&L_badpc,
-      &&L_s_addi_ld, &&L_s_addi_st, &&L_s_subi_st, &&L_s_st_addi, &&L_s_st_li,
-      &&L_s_st_ld, &&L_s_st_st, &&L_s_ld_st, &&L_s_ld_ld, &&L_s_ld_mov,
-      &&L_s_ld_add, &&L_s_ld_sub, &&L_s_ld_mul, &&L_s_ld_jr, &&L_s_mov_ld,
-      &&L_s_li_st, &&L_s_li_call, &&L_s_li_beq, &&L_s_li_bne, &&L_s_li_blt,
-      &&L_s_li_bge, &&L_s_li_bltu, &&L_s_li_bgeu, &&L_s_addi_beq,
-      &&L_s_addi_bne, &&L_s_addi_blt, &&L_s_addi_bge, &&L_s_addi_bltu,
-      &&L_s_addi_bgeu, &&L_s_add_jmp, &&L_s_addi_jmp, &&L_s_mov_jmp,
-      &&L_s_mov_addi, &&L_s_st_call, &&L_s_subi_st_call, &&L_s_addi_st_call,
-      &&L_s_ld_st_call, &&L_s_ld_add_jmp, &&L_s_ld_ld_mov, &&L_s_epilogue,
-      &&L_s_ld_epilogue, &&L_s_sum_loop,
-  };
-  static_assert(sizeof(kL) / sizeof(kL[0]) == static_cast<std::size_t>(kNumRunOps),
-                "handler table must cover RunOp exactly");
-
-  auto& W = workers_[w];
-  auto& R = W.regs;
-  Word* const m0 = memory_.data();
-  const std::uint64_t mspan = static_cast<std::uint64_t>(memory_.size()) - 1;
-  const RInstr* const rc = pre_.rcode.data();
-  const std::int64_t code_size = static_cast<std::int64_t>(code_.size());
-  // kSlow == false folds every flag test below away at compile time.
-  const std::uint32_t flags = kSlow ? engine_flags_ : 0;
-  // Fold retired-instruction count into the global counter on every exit
-  // path, including exceptions escaping builtins or fault handlers.
-  struct Flush {
-    VmStats* stats;
-    const int* budget;
-    int initial;
-    ~Flush() { stats->instructions += static_cast<std::uint64_t>(initial - *budget); }
-  } flush{&stats_, &budget, budget};
-  std::int64_t rpc = W.pc;
-  const RInstr* ip = rc;
-
-// Fetch/dispatch: quantum check, architectural pc range check (the
-// switch engine's bounds check, hoisted here so jr/callr targets need no
-// checking at the jump site), degrade-on-quantum-boundary, histogram
-// hook, dispatch.
-#define ST_FETCH()                                                            \
-  do {                                                                        \
-    if (__builtin_expect(budget <= 0, 0)) goto quantum_done;                  \
-    if (__builtin_expect(static_cast<std::uint64_t>(rpc) >=                   \
-                             static_cast<std::uint64_t>(code_size),           \
-                         0)) {                                                \
-      W.pc = rpc;                                                             \
-      fail(w, "pc out of code range");                                        \
-    }                                                                         \
-    ip = rc + rpc;                                                            \
-    {                                                                         \
-      std::uint8_t h = ip->h;                                                 \
-      if (__builtin_expect(budget < ip->len, 0)) h = ip->alt;                 \
-      if (__builtin_expect((flags & kEngineCount) != 0, 0))                   \
-        ++op_retired_[h];                                                     \
-      --budget;                                                               \
-      goto* kL[h];                                                            \
-    }                                                                         \
-  } while (0)
-
-// End of one architectural instruction (or fused group): run the
-// validate hook exactly where the switch engine does, then fetch.
-#define ST_NEXT()                                                             \
-  do {                                                                        \
-    if (__builtin_expect((flags & kEngineValidate) != 0, 0)) {                \
-      W.pc = rpc;                                                             \
-      validate_worker(w);                                                     \
-    }                                                                         \
-    ST_FETCH();                                                               \
-  } while (0)
-
-// Re-enter after a call that may have redirected control or changed the
-// scheduling state (builtin, trampoline): W.pc is authoritative again.
-#define ST_RESYNC()                                                           \
-  do {                                                                        \
-    if (__builtin_expect((flags & kEngineValidate) != 0, 0))                  \
-      validate_worker(w);                                                     \
-    if (W.idle || W.halted || result_.has_value()) goto engine_exit;          \
-    rpc = W.pc;                                                               \
-    ST_FETCH();                                                               \
-  } while (0)
-
-// Inlined fast-path bounds check; the cold path records the faulting
-// architectural pc and throws the switch engine's exact message.
-#define ST_CHK(addr, at)                                                      \
-  do {                                                                        \
-    if (__builtin_expect(                                                     \
-            static_cast<std::uint64_t>(addr) - 1 >= mspan, 0))                \
-      mem_oob(w, (addr), (at));                                               \
-  } while (0)
-
-  ST_FETCH();
-
-  // ---- plain handlers (mirror exec_instr case for case) ---------------
-L_li:
-  R[ip->d] = ip->imm;
-  ++rpc;
-  ST_NEXT();
-L_mov:
-  R[ip->d] = R[ip->a];
-  ++rpc;
-  ST_NEXT();
-L_add:
-  R[ip->d] = R[ip->a] + R[ip->b];
-  ++rpc;
-  ST_NEXT();
-L_sub:
-  R[ip->d] = R[ip->a] - R[ip->b];
-  ++rpc;
-  ST_NEXT();
-L_mul:
-  R[ip->d] = R[ip->a] * R[ip->b];
-  ++rpc;
-  ST_NEXT();
-L_div:
-  if (__builtin_expect(R[ip->b] == 0, 0)) {
-    W.pc = rpc;
-    fail(w, "division by zero");
-  }
-  R[ip->d] = R[ip->a] / R[ip->b];
-  ++rpc;
-  ST_NEXT();
-L_addi:
-  R[ip->d] = R[ip->a] + ip->imm;
-  ++rpc;
-  ST_NEXT();
-L_subi:
-  R[ip->d] = R[ip->a] - ip->imm;
-  ++rpc;
-  ST_NEXT();
-L_ld: {
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  R[ip->d] = m0[a];
-  ++rpc;
-  ST_NEXT();
-}
-L_st: {
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  m0[a] = R[ip->d];
-  ++rpc;
-  ST_NEXT();
-}
-L_fetchadd: {
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  R[ip->d] = m0[a];
-  m0[a] += R[ip->b];
-  ++rpc;
-  ST_NEXT();
-}
-L_call:  // predecode split builtin targets into L_callb; this is code-to-code
-  R[kLr] = rpc + 1;
-  rpc = ip->t;
-  ST_NEXT();
-L_callb:
-  R[kLr] = rpc + 1;
-  W.pc = rpc + 1;  // builtins "return" unless they redirect control
-  do_builtin(w, static_cast<int>(ip->imm));
-  ST_RESYNC();
-L_callr: {
-  const Addr target = R[ip->a];
-  R[kLr] = rpc + 1;
-  if (__builtin_expect(target >= kBuiltinBase, 0)) {
-    if (target >= kTrampBase) {
-      W.pc = rpc;
-      fail(w, "callr into a trampoline token");
-    }
-    W.pc = rpc + 1;
-    do_builtin(w, static_cast<int>(target - kBuiltinBase));
-    ST_RESYNC();
-  }
-  rpc = target;
-  ST_NEXT();
-}
-L_jmp:
-  rpc = ip->t;
-  ST_NEXT();
-L_jr: {
-  const Addr target = R[ip->a];
-  if (__builtin_expect(target >= kBuiltinBase, 0)) {
-    W.pc = rpc;
-    if (target < kTrampBase) fail(w, "jr into a builtin");
-    take_trampoline(w, target);
-    ST_RESYNC();
-  }
-  rpc = target;
-  ST_NEXT();
-}
-L_beq:
-  rpc = (R[ip->a] == R[ip->b]) ? ip->t : rpc + 1;
-  ST_NEXT();
-L_bne:
-  rpc = (R[ip->a] != R[ip->b]) ? ip->t : rpc + 1;
-  ST_NEXT();
-L_blt:
-  rpc = (R[ip->a] < R[ip->b]) ? ip->t : rpc + 1;
-  ST_NEXT();
-L_bge:
-  rpc = (R[ip->a] >= R[ip->b]) ? ip->t : rpc + 1;
-  ST_NEXT();
-L_bltu:
-  rpc = (static_cast<std::uint64_t>(R[ip->a]) < static_cast<std::uint64_t>(R[ip->b]))
-            ? ip->t
-            : rpc + 1;
-  ST_NEXT();
-L_bgeu:
-  rpc = (static_cast<std::uint64_t>(R[ip->a]) >= static_cast<std::uint64_t>(R[ip->b]))
-            ? ip->t
-            : rpc + 1;
-  ST_NEXT();
-L_getmaxe:
-  R[ip->d] = W.exported.empty() ? W.stack_hi + 1 : W.exported.max().fp;
-  ++rpc;
-  ST_NEXT();
-L_halt:
-  W.pc = rpc;
-  result_ = R[0];
-  W.halted = true;
-  goto engine_exit;
-L_badpc:  // defensive: ST_FETCH range-checks before indexing, so the
-  ++budget;  // sentinel is normally unreachable; it retires nothing
-  W.pc = rpc;
-  fail(w, "pc out of code range");
-
-  // ---- superinstructions ----------------------------------------------
-  // Each handler executes its components in architectural order, reading
-  // registers only after earlier components' writes (so intra-group
-  // register dependencies behave exactly as in sequential execution) and
-  // decrementing budget before each component's first fault point.
-L_s_addi_ld: {
-  R[ip->d] = R[ip->a] + ip->imm;
-  --budget;
-  const Addr a = R[ip->b] + ip->imm2;
-  ST_CHK(a, rpc + 1);
-  R[ip->c] = m0[a];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_addi_st: {
-  R[ip->d] = R[ip->a] + ip->imm;
-  --budget;
-  const Addr a = R[ip->b] + ip->imm2;
-  ST_CHK(a, rpc + 1);
-  m0[a] = R[ip->c];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_subi_st: {
-  R[ip->d] = R[ip->a] - ip->imm;
-  --budget;
-  const Addr a = R[ip->b] + ip->imm2;
-  ST_CHK(a, rpc + 1);
-  m0[a] = R[ip->c];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_st_addi: {
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  m0[a] = R[ip->d];
-  --budget;
-  R[ip->c] = R[ip->b] + ip->imm2;
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_st_li: {
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  m0[a] = R[ip->d];
-  --budget;
-  R[ip->c] = ip->imm2;
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_st_ld: {
-  const Addr a1 = R[ip->a] + ip->imm;
-  ST_CHK(a1, rpc);
-  m0[a1] = R[ip->d];
-  --budget;
-  const Addr a2 = R[ip->b] + ip->imm2;
-  ST_CHK(a2, rpc + 1);
-  R[ip->c] = m0[a2];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_st_st: {
-  const Addr a1 = R[ip->a] + ip->imm;
-  ST_CHK(a1, rpc);
-  m0[a1] = R[ip->d];
-  --budget;
-  const Addr a2 = R[ip->b] + ip->imm2;
-  ST_CHK(a2, rpc + 1);
-  m0[a2] = R[ip->c];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_ld_st: {
-  const Addr a1 = R[ip->a] + ip->imm;
-  ST_CHK(a1, rpc);
-  R[ip->d] = m0[a1];
-  --budget;
-  const Addr a2 = R[ip->b] + ip->imm2;
-  ST_CHK(a2, rpc + 1);
-  m0[a2] = R[ip->c];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_ld_ld: {
-  const Addr a1 = R[ip->a] + ip->imm;
-  ST_CHK(a1, rpc);
-  R[ip->d] = m0[a1];
-  --budget;
-  const Addr a2 = R[ip->b] + ip->imm2;
-  ST_CHK(a2, rpc + 1);
-  R[ip->c] = m0[a2];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_ld_mov: {
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  R[ip->d] = m0[a];
-  --budget;
-  R[ip->c] = R[ip->b];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_ld_add: {
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  R[ip->d] = m0[a];
-  --budget;
-  R[ip->c] = R[ip->b] + R[ip->e];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_ld_sub: {
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  R[ip->d] = m0[a];
-  --budget;
-  R[ip->c] = R[ip->b] - R[ip->e];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_ld_mul: {
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  R[ip->d] = m0[a];
-  --budget;
-  R[ip->c] = R[ip->b] * R[ip->e];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_ld_jr: {  // the unaugmented epilogue tail: ld lr,[fp-1]; jr lr
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  R[ip->d] = m0[a];
-  --budget;
-  const Addr target = R[ip->b];
-  if (__builtin_expect(target >= kBuiltinBase, 0)) {
-    W.pc = rpc + 1;  // the jr's own architectural pc
-    if (target < kTrampBase) fail(w, "jr into a builtin");
-    take_trampoline(w, target);
-    ST_RESYNC();
-  }
-  rpc = target;
-  ST_NEXT();
-}
-L_s_mov_ld: {
-  R[ip->d] = R[ip->a];
-  --budget;
-  const Addr a = R[ip->b] + ip->imm2;
-  ST_CHK(a, rpc + 1);
-  R[ip->c] = m0[a];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_li_st: {
-  R[ip->d] = ip->imm;
-  --budget;
-  const Addr a = R[ip->b] + ip->imm2;
-  ST_CHK(a, rpc + 1);
-  m0[a] = R[ip->c];
-  rpc += 2;
-  ST_NEXT();
-}
-L_s_li_call:  // argument-staging li + code-to-code call (never a builtin)
-  R[ip->d] = ip->imm;
-  --budget;
-  R[kLr] = rpc + 2;
-  rpc = ip->t;
-  ST_NEXT();
-L_s_li_beq:
-  R[ip->d] = ip->imm;
-  --budget;
-  rpc = (R[ip->a] == R[ip->b]) ? ip->t : rpc + 2;
-  ST_NEXT();
-L_s_li_bne:
-  R[ip->d] = ip->imm;
-  --budget;
-  rpc = (R[ip->a] != R[ip->b]) ? ip->t : rpc + 2;
-  ST_NEXT();
-L_s_li_blt:
-  R[ip->d] = ip->imm;
-  --budget;
-  rpc = (R[ip->a] < R[ip->b]) ? ip->t : rpc + 2;
-  ST_NEXT();
-L_s_li_bge:
-  R[ip->d] = ip->imm;
-  --budget;
-  rpc = (R[ip->a] >= R[ip->b]) ? ip->t : rpc + 2;
-  ST_NEXT();
-L_s_li_bltu:
-  R[ip->d] = ip->imm;
-  --budget;
-  rpc = (static_cast<std::uint64_t>(R[ip->a]) < static_cast<std::uint64_t>(R[ip->b]))
-            ? ip->t
-            : rpc + 2;
-  ST_NEXT();
-L_s_li_bgeu:
-  R[ip->d] = ip->imm;
-  --budget;
-  rpc = (static_cast<std::uint64_t>(R[ip->a]) >= static_cast<std::uint64_t>(R[ip->b]))
-            ? ip->t
-            : rpc + 2;
-  ST_NEXT();
-L_s_addi_beq:
-  R[ip->d] = R[ip->a] + ip->imm;
-  --budget;
-  rpc = (R[ip->b] == R[ip->c]) ? ip->t : rpc + 2;
-  ST_NEXT();
-L_s_addi_bne:
-  R[ip->d] = R[ip->a] + ip->imm;
-  --budget;
-  rpc = (R[ip->b] != R[ip->c]) ? ip->t : rpc + 2;
-  ST_NEXT();
-L_s_addi_blt:
-  R[ip->d] = R[ip->a] + ip->imm;
-  --budget;
-  rpc = (R[ip->b] < R[ip->c]) ? ip->t : rpc + 2;
-  ST_NEXT();
-L_s_addi_bge:
-  R[ip->d] = R[ip->a] + ip->imm;
-  --budget;
-  rpc = (R[ip->b] >= R[ip->c]) ? ip->t : rpc + 2;
-  ST_NEXT();
-L_s_addi_bltu:
-  R[ip->d] = R[ip->a] + ip->imm;
-  --budget;
-  rpc = (static_cast<std::uint64_t>(R[ip->b]) < static_cast<std::uint64_t>(R[ip->c]))
-            ? ip->t
-            : rpc + 2;
-  ST_NEXT();
-L_s_addi_bgeu:
-  R[ip->d] = R[ip->a] + ip->imm;
-  --budget;
-  rpc = (static_cast<std::uint64_t>(R[ip->b]) >= static_cast<std::uint64_t>(R[ip->c]))
-            ? ip->t
-            : rpc + 2;
-  ST_NEXT();
-L_s_add_jmp:  // join-and-continue: add d,a,b ; jmp t
-  R[ip->d] = R[ip->a] + R[ip->b];
-  --budget;
-  rpc = ip->t;
-  ST_NEXT();
-L_s_addi_jmp:  // loop back-edge: bump a register, jump to the guard
-  R[ip->d] = R[ip->a] + ip->imm;
-  --budget;
-  rpc = ip->t;
-  ST_NEXT();
-L_s_mov_jmp:  // free the frame, jump over the retire arm
-  R[ip->d] = R[ip->a];
-  --budget;
-  rpc = ip->t;
-  ST_NEXT();
-L_s_mov_addi:
-  R[ip->d] = R[ip->a];
-  --budget;
-  R[ip->c] = R[ip->b] + ip->imm2;
-  rpc += 2;
-  ST_NEXT();
-L_s_st_call: {  // push arg, code-to-code call (never a builtin)
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  m0[a] = R[ip->d];
-  --budget;
-  R[kLr] = rpc + 2;
-  rpc = ip->t;
-  ST_NEXT();
-}
-L_s_subi_st_call: {  // compute arg, push at [sp+k], call
-  R[ip->d] = R[ip->a] - ip->imm;
-  --budget;
-  const Addr a = R[ip->b] + ip->imm2;
-  ST_CHK(a, rpc + 1);
-  m0[a] = R[ip->c];
-  --budget;
-  R[kLr] = rpc + 3;
-  rpc = ip->t;
-  ST_NEXT();
-}
-L_s_addi_st_call: {
-  R[ip->d] = R[ip->a] + ip->imm;
-  --budget;
-  const Addr a = R[ip->b] + ip->imm2;
-  ST_CHK(a, rpc + 1);
-  m0[a] = R[ip->c];
-  --budget;
-  R[kLr] = rpc + 3;
-  rpc = ip->t;
-  ST_NEXT();
-}
-L_s_ld_st_call: {
-  const Addr a1 = R[ip->a] + ip->imm;
-  ST_CHK(a1, rpc);
-  R[ip->d] = m0[a1];
-  --budget;
-  const Addr a2 = R[ip->b] + ip->imm2;
-  ST_CHK(a2, rpc + 1);
-  m0[a2] = R[ip->c];
-  --budget;
-  R[kLr] = rpc + 3;
-  rpc = ip->t;
-  ST_NEXT();
-}
-L_s_ld_add_jmp: {  // join tail: ld d,[a+imm] ; add c,b,e ; jmp t
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  R[ip->d] = m0[a];
-  --budget;
-  R[ip->c] = R[ip->b] + R[ip->e];
-  --budget;
-  rpc = ip->t;
-  ST_NEXT();
-}
-L_s_ld_ld_mov: {  // ld d,[a+imm] ; ld c,[b+imm2] ; mov e,(reg)t
-  const Addr a1 = R[ip->a] + ip->imm;
-  ST_CHK(a1, rpc);
-  R[ip->d] = m0[a1];
-  --budget;
-  const Addr a2 = R[ip->b] + ip->imm2;
-  ST_CHK(a2, rpc + 1);
-  R[ip->c] = m0[a2];
-  --budget;
-  R[ip->e] = R[ip->t];
-  rpc += 3;
-  ST_NEXT();
-}
-L_s_ld_epilogue: {  // ld d,[a+imm] ; getmaxe c ; bgeu e,c,t ; bgeu b,(reg)imm2,t2
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  R[ip->d] = m0[a];
-  --budget;
-  R[ip->c] = W.exported.empty() ? W.stack_hi + 1 : W.exported.max().fp;
-  --budget;
-  if (static_cast<std::uint64_t>(R[ip->e]) >= static_cast<std::uint64_t>(R[ip->c])) {
-    // Early exit retires only 3 of the group's 4 instructions: when
-    // counting, re-attribute this dispatch to its plain components so
-    // sum(count[h] * run_op_len(h)) == stats().instructions stays exact.
-    if (__builtin_expect((flags & kEngineCount) != 0, 0)) {
-      --op_retired_[static_cast<std::size_t>(RunOp::kSupLdEpilogue)];
-      ++op_retired_[static_cast<std::size_t>(RunOp::kLd)];
-      ++op_retired_[static_cast<std::size_t>(RunOp::kGetMaxE)];
-      ++op_retired_[static_cast<std::size_t>(RunOp::kBgeu)];
-    }
-    rpc = ip->t;
-    ST_NEXT();
-  }
-  --budget;
-  rpc = (static_cast<std::uint64_t>(R[ip->b]) >= static_cast<std::uint64_t>(R[ip->imm2]))
-            ? ip->t2
-            : rpc + 4;
-  ST_NEXT();
-}
-L_s_sum_loop: {  // ld d,[a+imm] ; add c,b,e ; addi (reg)t2 += imm2 ; jmp t
-  const Addr a = R[ip->a] + ip->imm;
-  ST_CHK(a, rpc);
-  R[ip->d] = m0[a];
-  --budget;
-  R[ip->c] = R[ip->b] + R[ip->e];
-  --budget;
-  R[ip->t2] = R[ip->t2] + ip->imm2;
-  --budget;
-  rpc = ip->t;
-  ST_NEXT();
-}
-L_s_epilogue: {  // getmaxe d ; bgeu a,d,t ; bgeu b,c,t2 (the 5.2 splice)
-  const Word maxe = W.exported.empty() ? W.stack_hi + 1 : W.exported.max().fp;
-  R[ip->d] = maxe;
-  --budget;
-  if (static_cast<std::uint64_t>(R[ip->a]) >= static_cast<std::uint64_t>(R[ip->d])) {
-    // Early exit retires 2 of 3: re-attribute as for kSupLdEpilogue.
-    if (__builtin_expect((flags & kEngineCount) != 0, 0)) {
-      --op_retired_[static_cast<std::size_t>(RunOp::kSupEpilogue)];
-      ++op_retired_[static_cast<std::size_t>(RunOp::kGetMaxE)];
-      ++op_retired_[static_cast<std::size_t>(RunOp::kBgeu)];
-    }
-    rpc = ip->t;
-    ST_NEXT();
-  }
-  --budget;
-  rpc = (static_cast<std::uint64_t>(R[ip->b]) >= static_cast<std::uint64_t>(R[ip->c]))
-            ? ip->t2
-            : rpc + 3;
-  ST_NEXT();
-}
-
-quantum_done:
-  W.pc = rpc;
-engine_exit:
-  return;
-
-#undef ST_FETCH
-#undef ST_NEXT
-#undef ST_RESYNC
-#undef ST_CHK
-}
-
-#else  // non-GNU toolchains: the constructor never selects this engine
-
-void Vm::exec_quantum_threaded(unsigned w, int budget) {
-  (void)w;
-  (void)budget;
-  throw VmError("threaded dispatch requires the GNU labels-as-values extension");
-}
-
-#endif
-
-// ---------------------------------------------------------------------
 // The baseline JIT engine (jit.hpp; DESIGN.md §5.13).
 //
 // exec_jit runs worker `first` with `budget`, then -- a native round --
@@ -1380,7 +668,7 @@ void Vm::exec_quantum_threaded(unsigned w, int budget) {
 //    before that instruction's first side effect, and a cold exit always
 //    carries the pc of the *unexecuted* instruction with its budget
 //    intact -- so stats_.instructions (folded from the budget deltas) and
-//    per-quantum interleaving are bit-identical to both interpreters;
+//    per-quantum interleaving are bit-identical to the switch engine;
 //  - a worker's control state -- idle/halted, pc, registers, exported
 //    set (so its getmaxe sentinel) -- changes only inside its own
 //    quantum, and only through the exec_instr seam: a slot filled
@@ -1940,8 +1228,7 @@ std::string Vm::dump_logical_stacks() const {
 std::string Vm::metrics_json() const {
   std::ostringstream os;
   os << "{\"kind\":\"stvm\",\"workers\":" << cfg_.workers << ","
-     << "\"dispatch\":\"" << (jit_active_ ? "jit" : threaded_ ? "threaded" : "switch")
-     << "\","
+     << "\"dispatch\":\"" << (jit_active_ ? "jit" : "switch") << "\","
      << "\"counters\":{"
      << "\"instructions\":" << stats_.instructions
      << ",\"suspends\":" << stats_.suspends << ",\"restarts\":" << stats_.restarts

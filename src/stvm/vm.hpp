@@ -23,8 +23,8 @@
 // Workers are stepped round-robin with a configurable quantum, making
 // every concurrent schedule deterministic and replayable in tests.  The
 // default engine is the JIT (jit.hpp), which runs a round of busy
-// workers in one native entry; the interpreters stay as fallbacks and
-// differential oracles.
+// workers in one native entry; the portable switch interpreter stays as
+// its fallback, its cold-op seam and the differential oracle.
 #pragma once
 
 #include <array>
@@ -64,17 +64,16 @@ struct VmConfig {
   /// Check after every instruction that SP is inside the worker's stack
   /// segment and at-or-above the top of every live exported frame (the
   /// Theorem 4 safety property, enforced dynamically).  For tests.
-  /// Implies unfused predecode so validation points match the switch
-  /// engine instruction-for-instruction.
+  /// Runs on the switch engine, which has the per-instruction hook.
   bool validate = false;
-  /// Execution engine.  kEnv reads ST_STVM_DISPATCH
-  /// (switch|threaded|jit, default jit); all three engines are
-  /// architecturally identical -- same results, print streams, VmStats,
-  /// instruction counts and quantum interleaving -- and differentially
-  /// fuzzed against each other (docs/OBSERVABILITY.md).  kJit falls back
-  /// to kThreaded cleanly when native emission is unavailable
-  /// (non-x86-64 host, validate mode, ST_JIT_THRESHOLD, compile failure).
-  enum class Dispatch { kEnv, kSwitch, kThreaded, kJit };
+  /// Execution engine.  kEnv reads ST_STVM_DISPATCH (switch|jit, default
+  /// jit); both engines are architecturally identical -- same results,
+  /// print streams, VmStats, instruction counts and quantum interleaving
+  /// -- and differentially fuzzed against each other
+  /// (docs/OBSERVABILITY.md).  kJit falls back to kSwitch cleanly when
+  /// native emission is unavailable (non-x86-64 host, validate mode,
+  /// compile failure).
+  enum class Dispatch { kEnv, kSwitch, kJit };
   Dispatch dispatch = Dispatch::kEnv;
   /// Force the per-opcode retirement histogram on (it is otherwise
   /// enabled only when ST_METRICS/ST_STATS observability is active).
@@ -136,25 +135,21 @@ class Vm {
   std::string metrics_json() const;
 
   /// Per-handler retired-dispatch counts, indexed by RunOp.  Populated
-  /// when VmConfig::count_opcodes or ST_METRICS/ST_STATS is on; the
-  /// threaded engine counts fused superinstructions under their own
-  /// RunOp, the switch engine only ever uses the plain Op mirrors.
-  /// Invariant when counting: sum over h of count[h] * run_op_len(h)
-  /// equals stats().instructions (epilogue supers whose first compare
-  /// exits the group early re-attribute that dispatch to its plain
-  /// components to keep this exact).
+  /// when VmConfig::count_opcodes or ST_METRICS/ST_STATS is on.  Every
+  /// handler retires one architectural instruction, so when counting the
+  /// counts sum to stats().instructions.
   const std::array<std::uint64_t, kNumRunOps>& opcode_retired() const {
     return op_retired_;
   }
 
-  /// True when this VM runs the predecoded computed-goto engine.
-  bool dispatch_threaded() const { return threaded_; }
+  /// Always false (there is no threaded engine); perfbench/stvm.cpp is its only caller.
+  bool dispatch_threaded() const { return false; }
 
   /// True when this VM runs native JIT-compiled blocks (jit.hpp).
   bool dispatch_jit() const { return jit_active_; }
 
-  /// How often the JIT left native code (zero on the interpreters).  Not
-  /// architectural -- the interpreters have no such seam -- so kept out
+  /// How often the JIT left native code (zero on the switch engine).  Not
+  /// architectural -- the switch engine has no such seam -- so kept out
   /// of VmStats; reported by metrics_json() and ST_STATS.
   struct JitCounters {
     std::uint64_t native_rounds = 0;  ///< rounds run by jit_round()
@@ -166,8 +161,7 @@ class Vm {
   /// (benches and tests gate their jit columns/dimensions on this).
   static bool jit_supported() { return jit_available(); }
 
-  /// The run-form stream (empty when the switch engine is active);
-  /// exposes fusion coverage counters for tests and benches.
+  /// The run-form stream the JIT compiled (empty on the switch engine).
   const Predecoded& predecoded() const { return pre_; }
 
  private:
@@ -211,11 +205,6 @@ class Vm {
   static constexpr Addr kRejected = -1;
   // kBuiltinBase / kTrampBase live in isa.hpp (shared with the predecoder).
 
-  /// Engine-flag bits folded into one word so the threaded engine's
-  /// dispatch tests a single (almost always zero) value.
-  static constexpr std::uint32_t kEngineValidate = 1;  ///< cfg_.validate
-  static constexpr std::uint32_t kEngineCount = 2;     ///< opcode histogram
-
   enum Builtin : int {
     kBAlloc,
     kBPrint,
@@ -239,17 +228,6 @@ class Vm {
   // ---- execution -------------------------------------------------------
   void step_worker(unsigned w);
   void exec_instr(unsigned w);
-  /// Runs up to one quantum (`budget` architectural instructions; the
-  /// schedule-replay seam in step_worker may force a non-default value)
-  /// on the predecoded stream with computed-goto dispatch (vm.cpp bottom
-  /// half; requires the GNU labels-as-values extension -- the
-  /// constructor falls back to the switch engine elsewhere).
-  void exec_quantum_threaded(unsigned w, int budget);
-  /// The engine body, specialized on whether any observability hook
-  /// (validate / opcode counting) is active: the common instantiation
-  /// carries zero flag tests on the dispatch path.
-  template <bool kSlow>
-  void exec_quantum_threaded_impl(unsigned w, int budget);
   /// Runs worker `first` for `budget` instructions, then workers
   /// first+1..last for one quantum each, through the native blocks
   /// (jit.cpp).  Quantum boundaries between them switch workers inside
@@ -332,9 +310,6 @@ class Vm {
   }
   Word& mem(Addr a);
   Word read_mem(Addr a) const;
-  /// Cold out-of-line slow path for the threaded engine's inlined bounds
-  /// check; records the faulting architectural pc before throwing.
-  [[noreturn]] void mem_oob(unsigned w, Addr a, Addr at);
   void validate_worker(unsigned w) const;
   bool is_local(unsigned w, Addr addr) const;
   /// getmaxe's value: the topmost exported frame's FP, or the
@@ -348,16 +323,17 @@ class Vm {
   [[noreturn]] void fail(unsigned w, const std::string& msg) const;
 
   std::vector<Instr> code_;
-  Predecoded pre_;          ///< run-form stream (threaded: fused; jit: plain)
-  bool threaded_ = false;   ///< engine choice, resolved at construction
+  /// Lives as long as the Vm, though only compile() reads it: where this
+  /// block sits in the heap decides which of two layouts perfbench's
+  /// dnc-fine reads for peak_rss_mb (EXPERIMENTS.md).
+  Predecoded pre_;
   bool jit_active_ = false; ///< native blocks compiled and selected
   JitState jit_state_;      ///< host<->native mailbox (address baked into code)
   std::unique_ptr<JitProgram> jit_;
   std::vector<JitSlot> jit_slots_;  ///< one per worker (exec_jit)
   JitCounters jit_counters_;
   bool annotate_ = false;   ///< HB access annotation (sched_annotating() at ctor)
-  bool fuse_ = true;        ///< superinstruction fusion (ST_STVM_FUSE)
-  std::uint32_t engine_flags_ = 0;  ///< kEngine* bits, fixed at construction
+  bool counting_ = false;   ///< opcode histogram on, fixed at construction
   bool work_dirty_ = true;  ///< work appeared since the last deadlock sweep
   std::array<std::uint64_t, kNumRunOps> op_retired_{};
   DescriptorTable table_;

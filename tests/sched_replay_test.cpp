@@ -87,7 +87,7 @@ class SchedReplayTest : public ::testing::Test {
 
 TEST_F(SchedReplayTest, StvmThreeReplaysBitIdentical) {
   stu::sched_set_record();
-  const StvmRun rec = run_pfib(11, stvm::VmConfig::Dispatch::kThreaded);
+  const StvmRun rec = run_pfib(11, stvm::VmConfig::Dispatch::kJit);
   std::vector<stu::SchedDecision> log = stu::sched_take_recorded();
   ASSERT_FALSE(log.empty());
   std::string err;
@@ -96,7 +96,7 @@ TEST_F(SchedReplayTest, StvmThreeReplaysBitIdentical) {
 
   for (int i = 0; i < 3; ++i) {
     stu::sched_set_replay(log);
-    const StvmRun rep = run_pfib(11, stvm::VmConfig::Dispatch::kThreaded);
+    const StvmRun rep = run_pfib(11, stvm::VmConfig::Dispatch::kJit);
     EXPECT_EQ(rep.result, rec.result) << "replay " << i;
     EXPECT_EQ(rep.digest, rec.digest) << "replay " << i;
     expect_stats_eq(rep.stats, rec.stats);
@@ -108,14 +108,13 @@ TEST_F(SchedReplayTest, StvmThreeReplaysBitIdentical) {
 
 TEST_F(SchedReplayTest, StvmReplayIsEngineAgnostic) {
   stu::sched_set_record();
-  const StvmRun rec = run_pfib(10, stvm::VmConfig::Dispatch::kThreaded);
+  const StvmRun rec = run_pfib(10, stvm::VmConfig::Dispatch::kJit);
   std::vector<stu::SchedDecision> log = stu::sched_take_recorded();
   ASSERT_FALSE(log.empty());
 
-  // The switch engine replaying a threaded-recorded schedule must land
-  // on the identical architectural history (both engines charge budget
-  // once per instruction; forcing quanta by retired count is
-  // engine-agnostic).
+  // The switch engine replaying a JIT-recorded schedule must land on the
+  // identical architectural history (both engines charge budget once per
+  // instruction; forcing quanta by retired count is engine-agnostic).
   stu::sched_set_replay(log);
   const StvmRun rep = run_pfib(10, stvm::VmConfig::Dispatch::kSwitch);
   EXPECT_EQ(rep.result, rec.result);
@@ -125,9 +124,9 @@ TEST_F(SchedReplayTest, StvmReplayIsEngineAgnostic) {
 }
 
 TEST_F(SchedReplayTest, RecordingDoesNotPerturbTheSchedule) {
-  const StvmRun free_run = run_pfib(10, stvm::VmConfig::Dispatch::kThreaded);
+  const StvmRun free_run = run_pfib(10, stvm::VmConfig::Dispatch::kJit);
   stu::sched_set_record();
-  const StvmRun rec = run_pfib(10, stvm::VmConfig::Dispatch::kThreaded);
+  const StvmRun rec = run_pfib(10, stvm::VmConfig::Dispatch::kJit);
   // Recording only observes: the STVM is deterministic for a fixed
   // config, so the recorded run must equal the unrecorded one.
   EXPECT_EQ(rec.result, free_run.result);
@@ -137,7 +136,7 @@ TEST_F(SchedReplayTest, RecordingDoesNotPerturbTheSchedule) {
 
 TEST_F(SchedReplayTest, StvmDivergenceIsCountedAndHarmless) {
   stu::sched_set_record();
-  const StvmRun rec = run_pfib(10, stvm::VmConfig::Dispatch::kThreaded);
+  const StvmRun rec = run_pfib(10, stvm::VmConfig::Dispatch::kJit);
   std::vector<stu::SchedDecision> log = stu::sched_take_recorded();
   ASSERT_FALSE(log.empty());
 
@@ -154,7 +153,7 @@ TEST_F(SchedReplayTest, StvmDivergenceIsCountedAndHarmless) {
   ASSERT_GT(corrupted, 0u);
   stu::sched_set_replay(log);
   stu::sched_reset_counters();
-  const StvmRun rep = run_pfib(10, stvm::VmConfig::Dispatch::kThreaded);
+  const StvmRun rep = run_pfib(10, stvm::VmConfig::Dispatch::kJit);
   EXPECT_EQ(rep.result, rec.result);
   EXPECT_GT(stu::sched_counters().divergence, 0u);
 }
@@ -190,7 +189,7 @@ TEST_F(SchedReplayTest, NativeRecordReplayReproducesResult) {
 
 TEST_F(SchedReplayTest, FileRoundTripAndLint) {
   stu::sched_set_record();
-  (void)run_pfib(8, stvm::VmConfig::Dispatch::kThreaded);
+  (void)run_pfib(8, stvm::VmConfig::Dispatch::kJit);
   const std::vector<stu::SchedDecision> log = stu::sched_take_recorded();
   ASSERT_FALSE(log.empty());
 

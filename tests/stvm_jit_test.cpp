@@ -1,6 +1,6 @@
 // The baseline template JIT (stvm/jit.hpp): engine selection and the
-// fallback ladder, per-opcode retirement histogram equality across all
-// three engines after canonicalization, observability strings, the
+// fallback ladder, per-opcode retirement histogram equality across both
+// engines after canonicalization, observability strings, the
 // verify-once memo a module carries when shared across engines, and the
 // native rounds that switch busy workers inside native code.
 //
@@ -51,13 +51,11 @@ CountedRun counted_run(const PostprocResult& prog, VmConfig cfg,
   r.result = vm.run(entry, args);
   r.instructions = vm.stats().instructions;
   const auto& raw = vm.opcode_retired();
-  // The documented histogram invariant: dispatch counts weighted by the
-  // architectural width of each handler cover every retired instruction.
-  std::uint64_t weighted = 0;
-  for (int h = 0; h < kNumRunOps; ++h)
-    weighted += raw[static_cast<std::size_t>(h)] *
-                static_cast<std::uint64_t>(run_op_len(static_cast<RunOp>(h)));
-  EXPECT_EQ(weighted, r.instructions);
+  // The documented histogram invariant: every handler retires one
+  // architectural instruction, so the counts cover every retired one.
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : raw) total += n;
+  EXPECT_EQ(total, r.instructions);
   r.canonical = canonicalize_opcode_histogram(raw);
   return r;
 }
@@ -74,85 +72,41 @@ void expect_histograms_equal(const CountedRun& a, const CountedRun& b,
 
 TEST(StvmJit, CanonicalHistogramsAgreeAcrossEngines) {
   // Sequential fib: plenty of calls, branches, epilogue splices.  The
-  // switch engine counts plain Op mirrors, the threaded engine counts
-  // fused superinstructions, the JIT counts per-block -- after
-  // canonicalization all three must be bit-equal.
+  // switch engine counts plain Op mirrors, the JIT counts per-block --
+  // after canonicalization both must be bit-equal.
   const auto prog = programs::compile(programs::fib(), /*with_stdlib=*/false);
   const auto sw = counted_run(prog, counting(VmConfig::Dispatch::kSwitch), "main", {17});
-  const auto th = counted_run(prog, counting(VmConfig::Dispatch::kThreaded), "main", {17});
-  expect_histograms_equal(sw, th, "switch vs threaded");
-  if (Vm::jit_supported()) {
-    const auto jt = counted_run(prog, counting(VmConfig::Dispatch::kJit), "main", {17});
-    expect_histograms_equal(sw, jt, "switch vs jit");
-  }
+  const auto jt = counted_run(prog, counting(VmConfig::Dispatch::kJit), "main", {17});
+  expect_histograms_equal(sw, jt, "switch vs jit");
   // Canonical form only uses the architectural Op mirror range.
   for (int h = static_cast<int>(RunOp::kCallBuiltin); h < kNumRunOps; ++h)
-    EXPECT_EQ(th.canonical[static_cast<std::size_t>(h)], 0u)
+    EXPECT_EQ(jt.canonical[static_cast<std::size_t>(h)], 0u)
         << run_op_name(static_cast<RunOp>(h));
 }
 
 TEST(StvmJit, CanonicalHistogramsAgreeUnderParallelInterleaving) {
   // Multi-worker + a small quantum: suspension, stealing and builtin
-  // traffic, with quantum boundaries landing mid-group on the threaded
-  // engine (degrade path) and forcing interpreter handoffs in the JIT.
+  // traffic, with quantum boundaries forcing host handoffs in the JIT.
   const auto prog = programs::compile(programs::pfib(), /*with_stdlib=*/true);
   const auto sw =
       counted_run(prog, counting(VmConfig::Dispatch::kSwitch, 3, 7), "pmain", {10});
-  const auto th =
-      counted_run(prog, counting(VmConfig::Dispatch::kThreaded, 3, 7), "pmain", {10});
-  expect_histograms_equal(sw, th, "switch vs threaded");
-  if (Vm::jit_supported()) {
-    const auto jt =
-        counted_run(prog, counting(VmConfig::Dispatch::kJit, 3, 7), "pmain", {10});
-    expect_histograms_equal(sw, jt, "switch vs jit");
-  }
-}
-
-TEST(StvmJit, ThreadedCountsSupersAndCanonicalizationFoldsThem) {
-  // Pin down that the equality above is non-trivial: the threaded
-  // engine's RAW histogram does use superinstruction handlers, and the
-  // fold re-attributes exactly those to plain components.
-  const auto prog = programs::compile(programs::fib(), /*with_stdlib=*/false);
-  Vm vm(prog, counting(VmConfig::Dispatch::kThreaded));
-  vm.run("main", {15});
-  if (!vm.dispatch_threaded()) GTEST_SKIP() << "no computed-goto engine";
-  ASSERT_GT(vm.predecoded().fused_groups, 0u);
-  const auto& raw = vm.opcode_retired();
-  std::uint64_t super_dispatches = 0;
-  for (int h = static_cast<int>(RunOp::kCallBuiltin); h < kNumRunOps; ++h)
-    super_dispatches += raw[static_cast<std::size_t>(h)];
-  EXPECT_GT(super_dispatches, 0u) << "fib should fuse at least one hot pair";
+  const auto jt =
+      counted_run(prog, counting(VmConfig::Dispatch::kJit, 3, 7), "pmain", {10});
+  expect_histograms_equal(sw, jt, "switch vs jit");
 }
 
 TEST(StvmJit, ValidateModeFallsBackToInterpreter) {
   // The per-instruction safety hook has no native seam; requesting both
-  // must silently pick the threaded engine (fallback ladder).
+  // must silently pick the switch engine (fallback ladder).
   const auto prog = programs::compile(programs::fib(), /*with_stdlib=*/false);
   VmConfig cfg;
   cfg.dispatch = VmConfig::Dispatch::kJit;
   cfg.validate = true;
   Vm vm(prog, cfg);
   EXPECT_FALSE(vm.dispatch_jit());
+  EXPECT_TRUE(vm.predecoded().rcode.empty());
   EXPECT_EQ(vm.run("main", {12}), 144);
-}
-
-TEST(StvmJit, ThresholdGatesCompilation) {
-  // ST_JIT_THRESHOLD prices compile time against module size: a module
-  // below the threshold runs threaded, and the knob is read per-Vm so
-  // tests can flip it.
-  const auto prog = programs::compile(programs::fib(), /*with_stdlib=*/false);
-  ::setenv("ST_JIT_THRESHOLD", "1000000000", 1);
-  {
-    Vm vm(prog, counting(VmConfig::Dispatch::kJit));
-    EXPECT_FALSE(vm.dispatch_jit());
-    EXPECT_EQ(vm.run("main", {12}), 144);
-  }
-  ::unsetenv("ST_JIT_THRESHOLD");
-  {
-    Vm vm(prog, counting(VmConfig::Dispatch::kJit));
-    EXPECT_EQ(vm.dispatch_jit(), Vm::jit_supported());
-    EXPECT_EQ(vm.run("main", {12}), 144);
-  }
+  EXPECT_NE(vm.metrics_json().find("\"dispatch\":\"switch\""), std::string::npos);
 }
 
 TEST(StvmJit, MetricsJsonNamesTheActiveEngine) {
@@ -168,7 +122,9 @@ TEST(StvmJit, SharedModuleIsVerifiedOnce) {
   // The differential suites hand ONE PostprocResult to several Vms;
   // under the ST_VERIFY load gate the verifier must run once per
   // module, not once per engine -- the verdict memo lives on the module.
-  const auto prog = programs::compile(programs::fib(), /*with_stdlib=*/false);
+  // Built without programs::compile, which itself verifies under
+  // ST_VERIFY=1 and would set the memo before the first check.
+  const auto prog = postprocess(assemble(programs::fib()));
   EXPECT_EQ(prog.verify_verdict, 0);
   verify_or_throw(prog);
   EXPECT_EQ(prog.verify_verdict, 1);
@@ -179,14 +135,16 @@ TEST(StvmJit, SharedModuleIsVerifiedOnce) {
 
 TEST(StvmJit, EnvSelectionRejectsUnknownEngineNames) {
   const auto prog = programs::compile(programs::fib(), /*with_stdlib=*/false);
-  // This binary also runs in ctest's .switch/.threaded env rounds; preserve
-  // whatever ST_STVM_DISPATCH that round pinned.
+  // Preserve whatever ST_STVM_DISPATCH the caller pinned.  "threaded" is
+  // a retired engine name, rejected like any unknown one.
   const char* prev = ::getenv("ST_STVM_DISPATCH");
   const std::string saved = prev ? prev : "";
-  ::setenv("ST_STVM_DISPATCH", "turbo", 1);
   VmConfig cfg;
   cfg.dispatch = VmConfig::Dispatch::kEnv;
-  EXPECT_THROW(Vm(prog, cfg), VmError);
+  for (const char* name : {"turbo", "threaded"}) {
+    ::setenv("ST_STVM_DISPATCH", name, 1);
+    EXPECT_THROW(Vm(prog, cfg), VmError) << name;
+  }
   if (prev)
     ::setenv("ST_STVM_DISPATCH", saved.c_str(), 1);
   else

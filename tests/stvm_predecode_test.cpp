@@ -1,12 +1,10 @@
 // Predecoder unit tests: the run-form stream's 1:1 layout contract
-// (run pc == architectural pc), the fusion rules and their
-// entry-point-alignment restrictions, the alt/len degrade invariants,
-// and the engine-level consequences -- identical architectural results
-// under both engines and the retirement-histogram sum invariant.
+// (run pc == architectural pc) with its trailing sentinel, and the
+// engine-level consequences -- identical architectural results under
+// both engines and the retirement-histogram sum invariant.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -31,33 +29,31 @@ Instr I(Op op, int rd = 0, int ra = 0, int rb = 0, Word imm = 0, Addr target = -
   return ins;
 }
 
-bool is_plain(RunOp h) {
-  return static_cast<int>(h) < static_cast<int>(RunOp::kSupAddiLd) &&
-         h != RunOp::kBadPc;
-}
-
-/// Shared invariants of any predecoded stream: 1:1 slot layout with the
-/// trailing sentinel, per-slot len == run_op_len(h), a plain alt handler
-/// on every slot, and plain unit-length tail slots inside fused groups
-/// (so control entering mid-group executes architecturally).
+/// Shared invariants of any predecoded stream: one slot per instruction
+/// plus the trailing kBadPc sentinel; each slot's handler mirrors its
+/// opcode (builtin calls split off), with its operands and its resolved
+/// target.
 void check_stream_invariants(const std::vector<Instr>& code, const Predecoded& pre) {
   ASSERT_EQ(pre.rcode.size(), code.size() + 1);
-  const RInstr& sentinel = pre.rcode.back();
-  EXPECT_EQ(static_cast<RunOp>(sentinel.h), RunOp::kBadPc);
-  EXPECT_EQ(sentinel.len, 0);
+  EXPECT_EQ(static_cast<RunOp>(pre.rcode.back().h), RunOp::kBadPc);
   for (std::size_t i = 0; i < code.size(); ++i) {
+    const Instr& ins = code[i];
     const RInstr& r = pre.rcode[i];
-    const RunOp h = static_cast<RunOp>(r.h);
-    EXPECT_EQ(r.len, run_op_len(h)) << "slot " << i;
-    EXPECT_TRUE(is_plain(static_cast<RunOp>(r.alt))) << "slot " << i;
-    if (r.len > 1) {
-      ASSERT_LE(i + r.len, code.size()) << "fused group overruns the stream";
-      for (std::size_t k = i + 1; k < i + r.len; ++k) {
-        const RInstr& tail = pre.rcode[k];
-        EXPECT_TRUE(is_plain(static_cast<RunOp>(tail.h)))
-            << "tail slot " << k << " must stay plain";
-        EXPECT_EQ(tail.len, 1) << "tail slot " << k;
-      }
+    const bool builtin = ins.op == Op::kCall && ins.target >= kBuiltinBase;
+    EXPECT_EQ(static_cast<RunOp>(r.h),
+              builtin ? RunOp::kCallBuiltin : static_cast<RunOp>(ins.op))
+        << "slot " << i;
+    EXPECT_EQ(r.d, ins.rd) << "slot " << i;
+    EXPECT_EQ(r.a, ins.ra) << "slot " << i;
+    EXPECT_EQ(r.b, ins.rb) << "slot " << i;
+    if (builtin) {
+      EXPECT_EQ(r.imm, ins.target - kBuiltinBase) << "slot " << i;
+    } else {
+      EXPECT_EQ(r.imm, ins.imm) << "slot " << i;
+    }
+    if ((ins.op == Op::kCall && !builtin) || ins.op == Op::kJmp ||
+        (ins.op >= Op::kBeq && ins.op <= Op::kBgeu)) {
+      EXPECT_EQ(r.t, ins.target) << "slot " << i;
     }
   }
 }
@@ -68,107 +64,20 @@ TEST(Predecode, UnfusedStreamIsOneToOne) {
       I(Op::kAddi, 2, 1, 0, 3),
       I(Op::kHalt),
   };
-  const Predecoded pre = predecode(code, /*enable_fusion=*/false);
-  check_stream_invariants(code, pre);
-  EXPECT_EQ(pre.fused_groups, 0u);
-  for (std::size_t i = 0; i < code.size(); ++i) {
-    EXPECT_EQ(pre.rcode[i].h, pre.rcode[i].alt) << "slot " << i;
-    EXPECT_EQ(pre.rcode[i].len, 1) << "slot " << i;
-  }
-}
-
-TEST(Predecode, PairFusionPacksBothComponentsOnHead) {
-  // ld r1,[r14+3] ; st r1,[r13+0] -- the argument-staging pair.
-  const std::vector<Instr> code = {
-      I(Op::kLd, 1, kFp, 0, 3),
-      I(Op::kSt, 1, kSp, 0, 0),
-      I(Op::kHalt),
-  };
-  const Predecoded pre = predecode(code, /*enable_fusion=*/true);
-  check_stream_invariants(code, pre);
-  EXPECT_EQ(pre.fused_groups, 1u);
-  EXPECT_EQ(pre.fused_slots, 2u);
-  const RInstr& head = pre.rcode[0];
-  EXPECT_EQ(static_cast<RunOp>(head.h), RunOp::kSupLdSt);
-  EXPECT_EQ(static_cast<RunOp>(head.alt), RunOp::kLd);
-  EXPECT_EQ(head.len, 2);
-  EXPECT_EQ(head.d, 1);
-  EXPECT_EQ(head.a, kFp);
-  EXPECT_EQ(head.imm, 3);
-  EXPECT_EQ(head.c, 1);
-  EXPECT_EQ(head.b, kSp);
-  EXPECT_EQ(head.imm2, 0);
-  // The tail slot keeps its plain form for mid-group entry.
-  EXPECT_EQ(static_cast<RunOp>(pre.rcode[1].h), RunOp::kSt);
-}
-
-TEST(Predecode, BranchTargetBlocksFusionAcrossIt) {
-  // Instruction 1 is a branch target: fusing 0+1 would bury the entry
-  // point inside a fused group, so the pair must NOT form.
-  const std::vector<Instr> code = {
-      I(Op::kLd, 1, kFp, 0, 1),
-      I(Op::kSt, 1, kSp, 0, 0),  // <- jumped to from 2
-      I(Op::kBeq, 0, 0, 0, 0, /*target=*/1),
-      I(Op::kHalt),
-  };
-  const Predecoded pre = predecode(code, /*enable_fusion=*/true);
-  check_stream_invariants(code, pre);
-  EXPECT_EQ(static_cast<RunOp>(pre.rcode[0].h), RunOp::kLd);
-  EXPECT_EQ(pre.rcode[0].len, 1);
-  EXPECT_EQ(pre.fused_groups, 0u);
-}
-
-TEST(Predecode, CallReturnAddressBlocksFusionAcrossIt) {
-  // The slot after a call is where the callee returns to -- an entry
-  // point, so the st at 1 must stay a fusion head boundary even though
-  // ld;st would otherwise pair with it.
-  const std::vector<Instr> code = {
-      I(Op::kCall, 0, 0, 0, 0, /*target=*/3),
-      I(Op::kLd, 1, kFp, 0, 1),
-      I(Op::kSt, 1, kSp, 0, 0),
-      I(Op::kHalt),
-  };
-  const Predecoded pre = predecode(code, /*enable_fusion=*/true);
-  check_stream_invariants(code, pre);
-  // Slot 1 is the call's return point: it may head a group but nothing
-  // may fuse INTO it; here it can still head ld+st.
-  EXPECT_EQ(static_cast<RunOp>(pre.rcode[1].h), RunOp::kSupLdSt);
-  // Make the ld itself a return point instead: now 1 must stay plain as
-  // a tail but can still be a head -- move the call target so that slot
-  // 2 (the st) is the return point and the pair is blocked.
-  const std::vector<Instr> code2 = {
-      I(Op::kJmp, 0, 0, 0, 0, /*target=*/1),
-      I(Op::kCall, 0, 0, 0, 0, /*target=*/4),  // returns to 2
-      I(Op::kLd, 1, kFp, 0, 1),                // would pair with 3...
-      I(Op::kSt, 1, kSp, 0, 0),                // ...but 3 is fine; 2 is the entry
-      I(Op::kHalt),
-  };
-  const Predecoded pre2 = predecode(code2, /*enable_fusion=*/true);
-  check_stream_invariants(code2, pre2);
-  // Slot 2 is the return point; it heads a group (allowed: heads ARE
-  // entry points), the tail at 3 is interior and 3 is not an entry.
-  EXPECT_EQ(static_cast<RunOp>(pre2.rcode[2].h), RunOp::kSupLdSt);
-}
-
-TEST(Predecode, EpilogueSpliceFusesInPostprocessedCode) {
-  // Real augmented epilogues (postprocessor output) must produce the
-  // 3- or 4-wide epilogue superinstructions.
+  check_stream_invariants(code, predecode(code));
+  // Real postprocessed code: augmented epilogues, forks and builtin
+  // calls.  Resolve labels as the Vm does (runtime entries land at or
+  // above kBuiltinBase, so those calls take the split form).
   const PostprocResult prog = postprocess(
       assemble(programs::pfib() + "\n" + programs::stdlib()));
-  const Predecoded pre = predecode(prog.module.code, /*enable_fusion=*/true);
-  check_stream_invariants(prog.module.code, pre);
-  EXPECT_GT(pre.epilogue_splices, 0u);
-  EXPECT_GT(pre.fused_groups, 0u);
-  EXPECT_GE(pre.fused_slots, 2 * pre.fused_groups);
-}
-
-TEST(Predecode, ValidateModeDisablesFusion) {
-  VmConfig cfg;
-  cfg.validate = true;
-  Vm vm(postprocess(assemble(programs::fib())), cfg);
-  if (!vm.dispatch_threaded()) GTEST_SKIP() << "switch engine forced";
-  EXPECT_EQ(vm.predecoded().fused_groups, 0u);
-  EXPECT_EQ(vm.run("main", {10}), 55);
+  std::vector<Instr> linked = prog.module.code;
+  for (Instr& ins : linked) {
+    if (ins.label.empty()) continue;
+    const auto it = prog.module.labels.find(ins.label);
+    ins.target = it != prog.module.labels.end() ? static_cast<Addr>(it->second)
+                                                : kBuiltinBase;
+  }
+  check_stream_invariants(linked, predecode(linked));
 }
 
 TEST(Predecode, InvalidDispatchEnvThrows) {
@@ -179,50 +88,34 @@ TEST(Predecode, InvalidDispatchEnvThrows) {
 
 /// Both engines on the same program: identical result and instruction
 /// count, and -- when counting -- the histogram sum invariant
-/// sum(count[h] * run_op_len(h)) == stats().instructions, which proves
-/// every retired architectural instruction is attributed to exactly one
-/// dispatched handler even with superinstructions retiring 2-4 at once.
+/// sum(count[h]) == stats().instructions, which proves every retired
+/// architectural instruction is attributed to exactly one handler.
 TEST(Predecode, HistogramSumInvariantUnderBothEngines) {
   const PostprocResult prog = postprocess(
       assemble(programs::pfib() + "\n" + programs::stdlib()));
-  for (const auto dispatch :
-       {VmConfig::Dispatch::kSwitch, VmConfig::Dispatch::kThreaded}) {
+  for (const auto dispatch : {VmConfig::Dispatch::kSwitch, VmConfig::Dispatch::kJit}) {
     VmConfig cfg;
     cfg.workers = 2;
     cfg.dispatch = dispatch;
     cfg.count_opcodes = true;
     Vm vm(prog, cfg);
     EXPECT_EQ(vm.run("pmain", {12}), 144);
-    const auto& counts = vm.opcode_retired();
     std::uint64_t attributed = 0;
-    for (int h = 0; h < kNumRunOps; ++h) {
-      attributed += counts[static_cast<std::size_t>(h)] *
-                    static_cast<std::uint64_t>(run_op_len(static_cast<RunOp>(h)));
-    }
+    for (const std::uint64_t n : vm.opcode_retired()) attributed += n;
     EXPECT_EQ(attributed, vm.stats().instructions)
-        << (dispatch == VmConfig::Dispatch::kSwitch ? "switch" : "threaded");
-    if (dispatch == VmConfig::Dispatch::kThreaded && vm.dispatch_threaded() &&
-        vm.predecoded().fused_groups > 0) {  // ST_STVM_FUSE=0 disables fusion
-      // Fusion actually fired: at least one super handler retired.
-      std::uint64_t supers = 0;
-      for (int h = static_cast<int>(RunOp::kSupAddiLd); h < kNumRunOps; ++h) {
-        supers += counts[static_cast<std::size_t>(h)];
-      }
-      EXPECT_GT(supers, 0u);
-    }
+        << (dispatch == VmConfig::Dispatch::kSwitch ? "switch" : "jit");
   }
 }
 
-/// The degrade path (quantum expiring mid-group) and mid-group entry
-/// must keep the two engines architecturally identical at ANY quantum.
+/// Quantum boundaries landing anywhere -- including every instruction --
+/// must keep the two engines architecturally identical.
 TEST(Predecode, EnginesAgreeAcrossQuanta) {
   const PostprocResult prog = postprocess(
       assemble(programs::pfib() + "\n" + programs::stdlib()));
   for (const int quantum : {1, 2, 3, 5, 64}) {
     std::uint64_t instrs[2] = {0, 0};
     int k = 0;
-    for (const auto dispatch :
-         {VmConfig::Dispatch::kSwitch, VmConfig::Dispatch::kThreaded}) {
+    for (const auto dispatch : {VmConfig::Dispatch::kSwitch, VmConfig::Dispatch::kJit}) {
       VmConfig cfg;
       cfg.workers = 3;
       cfg.quantum = quantum;

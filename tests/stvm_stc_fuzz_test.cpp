@@ -3,10 +3,10 @@
 // evaluation; the compiled result must match on every seed.  Exercises
 // expression codegen (temporaries as frame slots across nested calls),
 // control flow, arrays and the calling standard end to end.  Every
-// program additionally runs under ALL execution engines (portable
-// switch, predecoded threaded dispatch and -- on hosts that support it
-// -- the baseline template JIT) and the engines must agree on the
-// result, the print stream and every architectural VmStats field.
+// program additionally runs under both execution engines (the portable
+// switch interpreter and -- on hosts that support it -- the baseline
+// template JIT) and the engines must agree on the result, the print
+// stream and every architectural VmStats field.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -54,13 +54,12 @@ void expect_stats_equal(const stvm::VmStats& x, const stvm::VmStats& y,
   EXPECT_EQ(x.trampolines_taken, y.trampolines_taken) << who;
 }
 
-/// Runs the program under every engine and asserts they agree on the
+/// Runs the program under both engines and asserts they agree on the
 /// result, the __st_print stream and every VmStats field.  Worker
 /// stepping is virtual and deterministic, so this holds exactly even
-/// with suspension, stealing and migration in play -- predecode,
-/// superinstruction fusion, quantum hoisting and native JIT blocks must
-/// be architecturally invisible (DESIGN.md, "Predecoded run-form
-/// stream" and "Baseline template JIT").
+/// with suspension, stealing and migration in play -- predecode, native
+/// rounds and JIT blocks must be architecturally invisible (DESIGN.md,
+/// "Baseline template JIT").
 Word run_differential(const stvm::PostprocResult& prog, const std::string& entry,
                       const std::vector<Word>& args, unsigned workers = 1,
                       int quantum = 64) {
@@ -76,13 +75,9 @@ Word run_differential(const stvm::PostprocResult& prog, const std::string& entry
     *printed = vm.output();
     return r;
   };
-  stvm::VmStats sw, th;
-  std::vector<Word> out_sw, out_th;
+  stvm::VmStats sw;
+  std::vector<Word> out_sw;
   const Word r_sw = run_one(stvm::VmConfig::Dispatch::kSwitch, &sw, &out_sw);
-  const Word r_th = run_one(stvm::VmConfig::Dispatch::kThreaded, &th, &out_th);
-  EXPECT_EQ(r_sw, r_th) << "engines disagree on the result";
-  EXPECT_EQ(out_sw, out_th) << "engines disagree on the __st_print stream";
-  expect_stats_equal(sw, th, "switch vs threaded");
   if (stvm::Vm::jit_supported()) {
     stvm::VmStats jt;
     std::vector<Word> out_jt;
@@ -91,7 +86,7 @@ Word run_differential(const stvm::PostprocResult& prog, const std::string& entry
     EXPECT_EQ(out_sw, out_jt) << "the JIT disagrees on the __st_print stream";
     expect_stats_equal(sw, jt, "switch vs jit");
   }
-  return r_th;
+  return r_sw;
 }
 
 /// A random expression over variables a, b, c plus an equal reference
@@ -216,8 +211,7 @@ TEST_P(StcFuzzTest, ParallelProgramsMatchAcrossEngines) {
   // Fork/join under a randomized schedule: every seed picks a worker
   // count and quantum, so the engines are compared across suspension,
   // stealing and frame migration -- including quanta small enough that
-  // fused superinstruction groups are entered with partial budget (the
-  // degrade path interleaves one architectural instruction at a time).
+  // native rounds switch workers every few instructions.
   const char* kSrc = R"(
     func task(n, result, jc) {
       mem[result] = pfib(n);
@@ -257,9 +251,9 @@ TEST_P(StcFuzzTest, RecordMutateReplayAgreesAcrossEngines) {
   // schedule with one engine, perturb one quantum decision, then force
   // the mutated schedule back through BOTH engines.  The perturbed
   // schedule is one no free-run would produce, so this drives the
-  // interpreters through interleavings ordinary differential fuzzing
-  // cannot reach -- and they must still agree exactly, because forced
-  // quanta are charged per architectural instruction on both.
+  // engines through interleavings ordinary differential fuzzing cannot
+  // reach -- and they must still agree exactly, because forced quanta
+  // are charged per architectural instruction on both.
   const char* kSrc = R"(
     func task(n, result, jc) {
       mem[result] = pfib(n);
@@ -320,16 +314,12 @@ TEST_P(StcFuzzTest, RecordMutateReplayAgreesAcrossEngines) {
     }
   }
 
-  stvm::VmStats sw, th;
+  stvm::VmStats sw;
   stu::sched_set_replay(log);
   const Word r_sw = run_one(stvm::VmConfig::Dispatch::kSwitch, &sw);
-  stu::sched_set_replay(log);
-  const Word r_th = run_one(stvm::VmConfig::Dispatch::kThreaded, &th);
   stu::sched_set_off();
 
   EXPECT_EQ(r_sw, f0) << "a schedule mutation must not change the result";
-  EXPECT_EQ(r_th, f0);
-  expect_stats_equal(sw, th, "switch vs threaded (mutated replay)");
 
   // The same mutated schedule forced through the JIT: replay mode
   // disables quantum coalescing, so every forced quantum is charged per
@@ -346,10 +336,10 @@ TEST_P(StcFuzzTest, RecordMutateReplayAgreesAcrossEngines) {
 
 TEST_P(StcFuzzTest, JitRecordReplayRoundTripsDigest) {
   // Record a multi-worker run under the JIT, then replay the untouched
-  // log under all engines: the recorded schedule must reproduce the
+  // log under both engines: the recorded schedule must reproduce the
   // recording run's stats bit-identically regardless of which engine
   // recorded and which replays (record mode also disables coalescing,
-  // so the JIT records per-quantum decisions like the interpreters).
+  // so the JIT records per-quantum decisions like the switch engine).
   if (!stvm::Vm::jit_supported()) GTEST_SKIP() << "no JIT on this host";
   const char* kSrc = R"(
     func task(n, result, jc) {
@@ -395,9 +385,7 @@ TEST_P(StcFuzzTest, JitRecordReplayRoundTripsDigest) {
   stu::sched_set_off();
   ASSERT_FALSE(log.empty());
 
-  for (const auto d : {stvm::VmConfig::Dispatch::kSwitch,
-                       stvm::VmConfig::Dispatch::kThreaded,
-                       stvm::VmConfig::Dispatch::kJit}) {
+  for (const auto d : {stvm::VmConfig::Dispatch::kSwitch, stvm::VmConfig::Dispatch::kJit}) {
     stvm::VmStats rep_stats;
     stu::sched_set_replay(log);
     const Word rep = run_one(d, &rep_stats);

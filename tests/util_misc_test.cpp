@@ -1,4 +1,4 @@
-// Smaller util pieces: RNG determinism, stats, arena, spinlock, table, env.
+// Smaller util pieces: RNG determinism, stats, spinlock, table, env.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
@@ -63,28 +62,6 @@ TEST(Stats, FormatSecondsPicksUnits) {
   EXPECT_NE(stu::format_seconds(5e-6).find("us"), std::string::npos);
   EXPECT_NE(stu::format_seconds(5e-3).find("ms"), std::string::npos);
   EXPECT_NE(stu::format_seconds(5.0).find(" s"), std::string::npos);
-}
-
-TEST(Arena, AlignmentAndReuse) {
-  stu::Arena arena(128);
-  void* a = arena.allocate(1);
-  void* b = arena.allocate(8, 64);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
-  // Larger-than-chunk allocations succeed in their own chunk.
-  void* big = arena.allocate(4096);
-  EXPECT_NE(big, nullptr);
-  EXPECT_GE(arena.bytes_allocated(), 1u + 8u + 4096u);
-}
-
-TEST(Arena, CreateConstructsObjects) {
-  stu::Arena arena;
-  struct Pair {
-    int a, b;
-  };
-  Pair* p = arena.create<Pair>(3, 4);
-  EXPECT_EQ(p->a, 3);
-  EXPECT_EQ(p->b, 4);
 }
 
 TEST(Spinlock, MutualExclusionUnderContention) {

@@ -16,7 +16,7 @@
 //                                                -> shrink, end to end
 //
 // Run opts: --program fib|pfib|psum|racy|clean  --n N  --workers W
-//           --quantum Q  --dispatch switch|threaded|jit
+//           --quantum Q  --dispatch switch|jit
 //
 // `explore` hunts for schedules that change the program's result (or
 // crash the VM).  The DPOR strategy records an annotated baseline, runs
@@ -65,7 +65,7 @@ struct RunOpts {
   long n = 10;
   unsigned workers = 3;
   int quantum = 7;
-  stvm::VmConfig::Dispatch dispatch = stvm::VmConfig::Dispatch::kThreaded;
+  stvm::VmConfig::Dispatch dispatch = stvm::VmConfig::Dispatch::kSwitch;
 };
 
 struct RunOutcome {
@@ -498,7 +498,7 @@ int usage() {
                "          [--must-find|--must-not-find] [run opts]\n"
                "  selftest [--out <artifact>]\n"
                "run opts: --program fib|pfib|psum|racy|clean --n N --workers W\n"
-               "          --quantum Q --dispatch switch|threaded|jit\n");
+               "          --quantum Q --dispatch switch|jit\n");
   return 2;
 }
 
@@ -545,12 +545,10 @@ bool parse(int argc, char** argv, int first, Args* a) {
     else if (arg == "--n" && (v = next())) a->run.n = std::atol(v);
     else if (arg == "--workers" && (v = next())) a->run.workers = static_cast<unsigned>(std::atoi(v));
     else if (arg == "--quantum" && (v = next())) a->run.quantum = std::atoi(v);
-    else if (arg == "--dispatch" && (v = next())) {
-      a->run.dispatch = std::strcmp(v, "switch") == 0
-                            ? stvm::VmConfig::Dispatch::kSwitch
-                        : std::strcmp(v, "jit") == 0
-                            ? stvm::VmConfig::Dispatch::kJit
-                            : stvm::VmConfig::Dispatch::kThreaded;
+    else if (arg == "--dispatch" && (v = next()) &&
+             (std::strcmp(v, "switch") == 0 || std::strcmp(v, "jit") == 0)) {
+      a->run.dispatch = std::strcmp(v, "jit") == 0 ? stvm::VmConfig::Dispatch::kJit
+                                                   : stvm::VmConfig::Dispatch::kSwitch;
     } else if (!arg.empty() && arg[0] != '-' && a->positional.empty()) {
       a->positional = arg;
     } else {

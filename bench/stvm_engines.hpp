@@ -28,9 +28,10 @@ struct EngineCell {
 /// Best-of-reps() wall time of one engine on one cell.  The Vm is
 /// constructed outside the timer: predecode and the JIT's template
 /// emission are linear one-shot work, so the run phases measure steady
-/// state execution.
+/// state execution.  `*jit`, when given, receives the run's native-code
+/// counters (deterministic, so any rep's are every rep's).
 inline double time_engine(const EngineCell& cell, stvm::VmConfig::Dispatch d,
-                          std::uint64_t* instrs) {
+                          std::uint64_t* instrs, stvm::Vm::JitCounters* jit = nullptr) {
   double best = 1e100;
   for (long r = 0; r < reps(); ++r) {
     stvm::VmConfig cfg;
@@ -41,14 +42,17 @@ inline double time_engine(const EngineCell& cell, stvm::VmConfig::Dispatch d,
     vm.run(cell.entry, cell.args);
     best = std::min(best, t.seconds());
     *instrs = vm.stats().instructions;
+    if (jit != nullptr) *jit = vm.jit_counters();
   }
   return best;
 }
 
-/// Runs every cell under both engines, printing the comparison table and
-/// the geomean speedup.  Returns false (after finishing the table) if
-/// any cell retired different architectural instruction counts under the
-/// two engines -- the suites exit nonzero on that so CI fails loudly.
+/// Runs every cell under both engines, printing the comparison table,
+/// the JIT's host visits per 1k retired instructions (how often native
+/// code returned to the host: DESIGN.md §5.13) and the geomean speedup.
+/// Returns false (after finishing the table) if any cell retired
+/// different architectural instruction counts under the two engines --
+/// the suites exit nonzero on that so CI fails loudly.
 /// The JIT column only appears when this build/host can emit native
 /// code (x86-64 Linux, see docs/OBSERVABILITY.md).
 inline bool compare_engines(const std::vector<EngineCell>& cells) {
@@ -60,15 +64,17 @@ inline bool compare_engines(const std::vector<EngineCell>& cells) {
     cols.push_back("jit/sw");
   }
   cols.push_back(jit ? "Minstr/s (jit)" : "Minstr/s (switch)");
+  if (jit) cols.push_back("host visits/1k (jit)");
   stu::Table table(cols);
   double geo = 1.0;
   int n = 0;
   bool ok = true;
   for (const auto& cell : cells) {
     std::uint64_t instrs_sw = 0, instrs_jit = 0;
+    stvm::Vm::JitCounters counters;
     const double sw = time_engine(cell, stvm::VmConfig::Dispatch::kSwitch, &instrs_sw);
     const double jt =
-        jit ? time_engine(cell, stvm::VmConfig::Dispatch::kJit, &instrs_jit) : 0.0;
+        jit ? time_engine(cell, stvm::VmConfig::Dispatch::kJit, &instrs_jit, &counters) : 0.0;
     if (jit && instrs_sw != instrs_jit) {
       std::fprintf(stderr,
                    "FATAL: %s retired %llu instructions under switch dispatch "
@@ -88,6 +94,11 @@ inline bool compare_engines(const std::vector<EngineCell>& cells) {
       geo *= sw / jt;
     }
     row.push_back(stu::Table::num(static_cast<double>(instrs_sw) / fast / 1e6, 1));
+    if (jit) {
+      row.push_back(stu::Table::num(static_cast<double>(counters.host_visits) * 1e3 /
+                                        static_cast<double>(instrs_jit),
+                                    3));
+    }
     table.add_row(row);
     ++n;
   }

@@ -101,7 +101,8 @@ void mm_blocked(double* c, const double* a, const double* b, std::size_t n) {
   });
 }
 
-bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+// Only assert()s call it; NDEBUG builds compile them out.
+[[maybe_unused]] bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 template <typename Exec>
 void dispatch(Variant v, Matrix& c, const Matrix& a, const Matrix& b, std::size_t n) {

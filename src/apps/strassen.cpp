@@ -155,7 +155,8 @@ void strassen_rec(double* c, const double* a, const double* b, std::size_t n) {
       });
 }
 
-bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+// Only assert()s call it; NDEBUG builds compile them out.
+[[maybe_unused]] bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 }  // namespace
 

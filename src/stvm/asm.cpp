@@ -47,15 +47,6 @@ int parse_reg(const std::string& t, int line) {
   throw AsmError(line, "expected register, got '" + t + "'");
 }
 
-bool is_reg(const std::string& t) {
-  if (t == "lr" || t == "sp" || t == "fp") return true;
-  if (t.size() >= 2 && t[0] == 'r' && std::isdigit(static_cast<unsigned char>(t[1]))) {
-    const int n = std::atoi(t.c_str() + 1);
-    return n >= 0 && n <= 11 && std::to_string(n) == t.substr(1);
-  }
-  return false;
-}
-
 Word parse_imm(const std::string& t, int line) {
   try {
     std::size_t used = 0;

@@ -76,6 +76,10 @@ inline constexpr int kLastCalleeSaved = 7;
 inline constexpr Addr kBuiltinBase = 1 << 20;
 inline constexpr Addr kTrampBase = 1 << 21;
 
+/// The steal-poll runtime entry: the predecoder gives calls to it their
+/// own run-form op, which the JIT serves natively when it is a no-op.
+inline constexpr const char* kPollEntry = "__st_poll";
+
 enum class Op : std::uint8_t {
   kLi,        // li   rD, imm
   kMov,       // mov  rD, rS

@@ -80,8 +80,12 @@ static_assert(offsetof(JitState, rsp_entry) == 40, "layout baked into emitted co
 static_assert(offsetof(JitState, slot) == 48, "layout baked into emitted code");
 static_assert(offsetof(JitState, last) == 56, "layout baked into emitted code");
 static_assert(offsetof(JitState, quantum) == 64, "layout baked into emitted code");
+static_assert(offsetof(JitState, poll) == 72, "layout baked into emitted code");
+static_assert(offsetof(JitState, first) == 80, "layout baked into emitted code");
+static_assert(offsetof(JitState, wraps) == 88, "layout baked into emitted code");
 static_assert(offsetof(JitSlot, regs) == 0 && offsetof(JitSlot, pc) == 8 &&
-                  offsetof(JitSlot, maxe) == 16 && sizeof(JitSlot) == 24,
+                  offsetof(JitSlot, poll) == 12 && offsetof(JitSlot, maxe) == 16 &&
+                  sizeof(JitSlot) == 24,
               "layout baked into emitted code");
 
 class Emitter {
@@ -145,6 +149,14 @@ class Emitter {
   void mov_mem_r(int base, std::int32_t disp, int src) {
     rex(1, src, 0, base); u8(0x89); mem(src, base, disp);
   }
+  // mov dword [base + disp], src32
+  void mov_mem32_r(int base, std::int32_t disp, int src) {
+    rex(0, src, 0, base); u8(0x89); mem(src, base, disp);
+  }
+  // movsxd dst, dword [base + disp]
+  void movsxd_r_mem(int dst, int base, std::int32_t disp) {
+    rex(1, dst, 0, base); u8(0x63); mem(dst, base, disp);
+  }
   // mov dst, [base + idx*8]
   void mov_r_sib(int dst, int base, int idx) {
     rex(1, dst, idx, base); u8(0x8B); modrm(0, dst, 4);
@@ -203,9 +215,10 @@ class Emitter {
     rex(1, dst, 0, src); u8(0x0F); u8(0xAF); modrm(3, dst, src);
   }
   void inc_r(int r) { rex(1, 0, 0, r); u8(0xFF); modrm(3, 0, r); }
-  // add qword [base], imm8  (the histogram bump)
-  void add_mem_i8(int base, std::int8_t imm) {
-    rex(1, 0, 0, base); u8(0x83); mem(0, base, 0); u8(static_cast<std::uint8_t>(imm));
+  // add/sub/cmp qword [base + disp], imm8 (83 /ext; the histogram bump
+  // is add [base], 1)
+  void alu_mem_i8(int ext, int base, std::int32_t disp, std::int8_t imm) {
+    rex(1, 0, 0, base); u8(0x83); mem(ext, base, disp); u8(static_cast<std::uint8_t>(imm));
   }
   void cqo() { u8(0x48); u8(0x99); }
   void idiv_r(int r) { rex(1, 0, 0, r); u8(0xF7); modrm(3, 7, r); }
@@ -220,6 +233,16 @@ class Emitter {
   /// Points the jcc8_fwd ending at `end` at the current position.
   void patch_jcc8(std::size_t end) {
     out[end - 1] = static_cast<std::uint8_t>(out.size() - end);
+  }
+  /// Near forward jcc; returns the offset patch_rel32 resolves.
+  std::size_t jcc32_fwd(int cc) {
+    u8(0x0F); u8(static_cast<std::uint8_t>(0x80 | cc)); u32(0);
+    return out.size();
+  }
+  /// Points the rel32 ending at `end` at the current position.
+  void patch_rel32(std::size_t end) {
+    const auto rel = static_cast<std::uint32_t>(out.size() - end);
+    std::memcpy(out.data() + end - 4, &rel, 4);
   }
   void jmp32_to(std::size_t target) {
     u8(0xE9);
@@ -327,31 +350,42 @@ bool JitProgram::compile(const Predecoded& pre, std::int64_t code_size,
     e.mov_mem_r(kRax, kLr * 8, kRbp);
     e.mov_mem_r(kRax, kSp * 8, kRsi);
     e.mov_mem_r(kRax, kFp * 8, kRdi);
+    std::size_t to_tail = 0;
     if (cold == 0) {
-      // Round handoff: unless this was the round's last slot, record the
-      // pc in the slot, make the next slot current and enter its worker
-      // with a fresh quantum -- the prologue's tail, minus the host.
+      // Round handoff: record the pc in the slot (the last slot's too --
+      // the host reads an exiting worker's pc from state->pc), make the
+      // next slot current and enter its worker with a fresh quantum --
+      // the prologue's tail, minus the host.  After the last slot, a
+      // batch with wraps left starts its next round at state->first;
+      // otherwise the stretch returns.
       e.mov_r_mem(kRax, kRdx, 48);  // slot
       e.mov_r_mem(kRcx, kRdx, 16);  // the budget (0) is stored: rcx = pc
+      e.mov_mem32_r(kRax, 8, kRcx);  // slot->pc
       e.cmp_r_mem(kRax, kRdx, 56);  // slot vs last
-      const std::size_t to_tail = e.jcc8_fwd(kCcE);
-      e.mov_mem_r(kRax, 8, kRcx);   // slot->pc
-      e.alu_ri8(0, kRax, static_cast<std::int8_t>(sizeof(JitSlot)));
+      e.lea(kRax, kRax, static_cast<std::int32_t>(sizeof(JitSlot)));  // next (flags kept)
+      const std::size_t to_handoff = e.jcc8_fwd(kCcNE);
+      e.alu_mem_i8(7, kRdx, 88, 0);  // wraps left?
+      to_tail = e.jcc32_fwd(kCcE);
+      e.alu_mem_i8(5, kRdx, 88, 1);
+      e.mov_r_mem(kRax, kRdx, 80);  // first
+      e.patch_jcc8(to_handoff);
       e.mov_mem_r(kRdx, 48, kRax);  // state->slot = next
       e.mov_r_mem(kRcx, kRax, 0);   // next regs
       e.mov_mem_r(kRdx, 0, kRcx);
       e.mov_r_mem(kRbp, kRax, 16);  // next maxe (rbp is free until reloaded)
       e.mov_mem_r(kRdx, 32, kRbp);
+      e.movsxd_r_mem(kRbp, kRax, 12);  // next poll word
+      e.mov_mem_r(kRdx, 72, kRbp);
       e.push_i8(0);                 // fresh return-pairing guard
       for (int vr = 0; vr <= 7; ++vr) e.mov_r_mem(kR8 + vr, kRcx, vr * 8);
       e.mov_r_mem(kRbp, kRcx, kLr * 8);
       e.mov_r_mem(kRsi, kRcx, kSp * 8);
       e.mov_r_mem(kRdi, kRcx, kFp * 8);
       e.mov_r_mem(kRcx, kRdx, 64);  // quantum
-      e.mov_r_mem(kRax, kRax, 8);   // next pc
+      e.movsxd_r_mem(kRax, kRax, 8);  // next pc
       e.mov_ri(kRdx, table_addr);
       e.jmp_table();
-      e.patch_jcc8(to_tail);
+      e.patch_rel32(to_tail);
     }
     e.mov_mem_i32(kRdx, 24, cold);  // exit_cold
     for (int i = 5; i >= 0; --i) e.pop_r(kSaves[i]);
@@ -409,7 +443,7 @@ bool JitProgram::compile(const Predecoded& pre, std::int64_t code_size,
     if (op_retired == nullptr) return;
     e.mov_ri(kRdx, reinterpret_cast<std::int64_t>(op_retired +
                                                   static_cast<std::size_t>(h)));
-    e.add_mem_i8(kRdx, 1);
+    e.alu_mem_i8(0, kRdx, 0, 1);
   };
   // Leaves the checked word address in rax (cold-exits this instruction
   // on an out-of-range address; clobbers rdx).
@@ -579,7 +613,7 @@ bool JitProgram::compile(const Predecoded& pre, std::int64_t code_size,
         }
         break;
       }
-      case RunOp::kCall:  // in-module target (builtins became kCallBuiltin)
+      case RunOp::kCall:  // in-module target (builtins became kCallBuiltin/kPoll)
         if (!slot_ok(r.t)) {
           bare_cold(pc);
           break;
@@ -653,6 +687,27 @@ bool JitProgram::compile(const Predecoded& pre, std::int64_t code_size,
         static constexpr int kCc[] = {kCcE, kCcNE, kCcL, kCcGE, kCcB, kCcAE};
         e.jcc32_to_slot(kCc[static_cast<int>(h) - static_cast<int>(RunOp::kBeq)],
                         r.t);
+        break;  // fall through to block pc+1
+      }
+      case RunOp::kPoll: {
+        // A no-op poll stays native (DESIGN.md §5.13).  The poll word says
+        // whether __st_poll would do anything: < 0, a steal request is
+        // pending; > 0, the topmost exported frame's return-address slot,
+        // read live because native epilogues zero it -- 0 there means
+        // shrink has a retired frame to pop.  Either case exits to the
+        // host, which runs the builtin; otherwise the call changed only lr.
+        budget_gate(pc);
+        e.mov_ri(kRax, state_addr);
+        e.mov_r_mem(kRax, kRax, 72);  // poll word
+        e.cmp_ri8(kRax, 0);
+        const std::size_t noop = e.jcc8_fwd(kCcE);
+        cold_if(kCcL, pc);
+        e.mov_r_sib(kRax, kRbx, kRax);
+        e.cmp_ri8(kRax, 0);
+        cold_if(kCcE, pc);
+        e.patch_jcc8(noop);
+        count(h);
+        e.mov_ri(kRbp, pc + 1);  // lr, as exec_instr's builtin call sets it
         break;  // fall through to block pc+1
       }
       case RunOp::kGetMaxE:

@@ -31,7 +31,11 @@
 //  - A round of busy workers runs in one native entry: at a spent
 //    budget the quantum stub spills the worker, discards its native call
 //    frames and switches to the next JitSlot, so the host is visited
-//    only after the last worker's quantum or at a cold instruction.
+//    only after the last worker's quantum or at a cold instruction.  A
+//    batch of such rounds wraps from the last slot back to the first.
+//  - `call __st_poll` with nothing to serve -- no steal request, no
+//    retired frame atop the exported set -- runs natively; only a poll
+//    with work exits to the host (the worker's poll word, JitSlot::poll).
 #pragma once
 
 #include <cstdint>
@@ -49,10 +53,24 @@ bool jit_available();
 
 /// One worker of a native round: what the quantum stub needs to switch
 /// to it without a host visit.
+///
+/// 24 bytes, as before the poll word joined it: pc and poll fit in 32
+/// bits (compile() refuses code or memory spans that do not), and the
+/// slot array's malloc size is one of the allocations that decide which
+/// of two heap layouts perfbench's dnc-fine reads for peak_rss_mb
+/// (EXPERIMENTS.md).
 struct JitSlot {
-  Word* regs = nullptr;  ///< the worker's architectural register file
-  std::int64_t pc = 0;   ///< in: entry pc; out: pc where its quantum ended
-  Word maxe = 0;         ///< its getmaxe sentinel
+  Word* regs = nullptr;   ///< the worker's architectural register file
+  std::int32_t pc = 0;    ///< in: entry pc; out: pc where its quantum ended
+  /// Its poll word: 0 = no steal request and an empty exported set (a
+  /// poll is a no-op); < 0 = a steal request is pending (a poll exits to
+  /// the host); > 0 = the VM address of the topmost exported frame's
+  /// return-address slot (a poll is a no-op while that word is nonzero,
+  /// i.e. while shrink has nothing to pop).  Invariant per stretch for
+  /// the same reason as maxe: requests are posted only by idle workers
+  /// between host steps, and the exported set only changes in cold code.
+  std::int32_t poll = 0;
+  Word maxe = 0;          ///< its getmaxe sentinel
 };
 
 /// Host <-> native mailbox.  Lives at a fixed address inside the Vm for
@@ -71,12 +89,18 @@ struct JitState {
                                 ///< never leaks stack across quanta (jit.cpp)
   /// Native rounds.  While slot != last, a spent budget does not return
   /// to the host: the quantum stub stores the pc into *slot, advances
-  /// slot, loads the next worker's registers, regs and maxe, and gives it
-  /// a fresh `quantum`.  Out: slot is the worker that exited.  An entry
-  /// for one worker sets last == slot.
+  /// slot, loads the next worker's registers, regs, maxe and poll word,
+  /// and gives it a fresh `quantum`.  Out: slot is the worker that
+  /// exited.  An entry for one worker sets last == slot.
   JitSlot* slot = nullptr;
   JitSlot* last = nullptr;
   std::int64_t quantum = 0;
+  Word poll = 0;  ///< running worker's poll word (JitSlot::poll)
+  /// Batched rounds.  At the last slot's spent budget, while wraps > 0
+  /// the stub decrements it and continues at `first` instead of
+  /// returning.  Out: the wraps left, so the host knows the laps run.
+  JitSlot* first = nullptr;
+  std::int64_t wraps = 0;
 };
 
 /// One module compiled to native blocks.  Noncopyable: the emitted code

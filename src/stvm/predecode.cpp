@@ -28,6 +28,7 @@ const char* run_op_name(RunOp op) {
     case RunOp::kGetMaxE: return "getmaxe";
     case RunOp::kHalt: return "halt";
     case RunOp::kCallBuiltin: return "call.builtin";
+    case RunOp::kPoll: return "call.poll";
     case RunOp::kBadPc: return "badpc";
     case RunOp::kCount: break;
   }
@@ -40,10 +41,11 @@ std::array<std::uint64_t, kNumRunOps> canonicalize_opcode_histogram(
   for (int i = 0; i < static_cast<int>(RunOp::kCallBuiltin); ++i) {
     out[static_cast<std::size_t>(i)] = h[static_cast<std::size_t>(i)];
   }
-  // The split form is a decode-time distinction; architecturally it
+  // The split forms are a decode-time distinction; architecturally they
   // retired a call.
   out[static_cast<std::size_t>(RunOp::kCall)] +=
-      h[static_cast<std::size_t>(RunOp::kCallBuiltin)];
+      h[static_cast<std::size_t>(RunOp::kCallBuiltin)] +
+      h[static_cast<std::size_t>(RunOp::kPoll)];
   return out;
 }
 
@@ -61,7 +63,7 @@ Predecoded predecode(const std::vector<Instr>& code) {
     switch (ins.op) {
       case Op::kCall:
         if (ins.target >= kBuiltinBase) {
-          h = RunOp::kCallBuiltin;
+          h = ins.label == kPollEntry ? RunOp::kPoll : RunOp::kCallBuiltin;
           r.imm = ins.target - kBuiltinBase;
         } else {
           r.t = static_cast<std::int32_t>(ins.target);

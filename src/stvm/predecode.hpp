@@ -9,8 +9,9 @@
 // fork-point lookups, fail() diagnostics) needs no translation table.
 // What changes per slot: operands are widened and re-packed into a
 // dense POD (no label strings; branch/call targets pre-resolved), and
-// calls to runtime entry points get their own handler id.  The portable
-// switch engine never reads this stream.
+// calls to runtime entry points get their own handler ids (kPoll for the
+// steal poll, kCallBuiltin for the rest).  The portable switch engine
+// never reads this stream.
 #pragma once
 
 #include <array>
@@ -31,6 +32,7 @@ enum class RunOp : std::uint8_t {
   kFetchAdd, kGetMaxE, kHalt,
   // -- split forms -------------------------------------------------------
   kCallBuiltin,  ///< call whose resolved target is a runtime entry point
+  kPoll,         ///< call __st_poll (the JIT runs a no-op poll natively)
   kBadPc,        ///< out-of-code sentinel slot (index code.size())
   kCount,
 };
@@ -42,7 +44,7 @@ inline constexpr int kNumRunOps = static_cast<int>(RunOp::kCount);
 const char* run_op_name(RunOp op);
 
 /// Folds a retirement histogram (Vm::opcode_retired()) into canonical
-/// architectural opcode space: the builtin-split call form rejoins
+/// architectural opcode space: the builtin-split call forms rejoin
 /// kCall.  Histograms taken under either engine of the same program run
 /// compare bit-equal after canonicalization.  Only indices below
 /// kCallBuiltin (the Op mirror range) are nonzero in the result.

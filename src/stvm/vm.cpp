@@ -67,7 +67,7 @@ Vm::Vm(const PostprocResult& program, VmConfig cfg)
       {"__st_suspend_publish", kBSuspendPublish},
       {"__st_restart", kBRestart},
       {"__st_resume", kBResume},
-      {"__st_poll", kBPoll},
+      {kPollEntry, kBPoll},
       {"__st_worker_id", kBWorkerId},
       {"__st_num_workers", kBNumWorkers},
       {"__st_exit", kBExit},
@@ -262,15 +262,20 @@ Word Vm::run(const std::string& entry, const std::vector<Word>& args) {
   std::uint64_t round = 0;
   work_dirty_ = true;
   while (!result_.has_value()) {
-    if (!jit_round()) {
+    std::uint64_t rounds = jit_round();
+    if (rounds == 0) {
       for (unsigned w = 0; w < cfg_.workers && !result_.has_value(); ++w) {
         step_worker(w);
       }
+      rounds = 1;
     }
     if (stats_.instructions > cfg_.max_steps) {
       throw VmError("instruction budget exhausted (livelock or runaway program)");
     }
-    ++round;
+    // A native batch's rounds before its last ended with every worker
+    // busy and no host code run: the sweep below has nothing to see in
+    // them (exec_jit cleared work_dirty_ for them), so they only count.
+    round += rounds;
     if (work_dirty_) {
       work_dirty_ = false;
       quiet_sweeps = 0;
@@ -345,7 +350,7 @@ void Vm::step_worker(unsigned w) {
                                      ? cfg_.max_steps - stats_.instructions
                                      : 0;
       std::uint64_t quanta = q > 0 ? room / q : 0;
-      if (quanta > 4096) quanta = 4096;
+      if (quanta > kMaxBatch) quanta = kMaxBatch;
       if (quanta > 1) b = static_cast<int>(quanta * q);
     }
     exec_jit(w, w, b);
@@ -675,20 +680,25 @@ void Vm::exec_instr(unsigned w) {
 //    before an earlier worker's host visits stays valid, and the
 //    running worker's slot is refilled at every native entry;
 //  - memory_ never reallocates after construction, so the base address
-//    baked into the blocks stays valid across builtins.
+//    baked into the blocks stays valid across builtins;
+//  - a batch wraps from the last slot to the first only while no host
+//    code has run since its first entry: every worker is then busy with
+//    its slot -- maxe and poll word included -- still exact.  The first
+//    host step (a cold exit or single-step) ends the batch with the
+//    round it is in.
 // ---------------------------------------------------------------------
 
-void Vm::exec_jit(unsigned first, unsigned last, int budget) {
+std::uint64_t Vm::exec_jit(unsigned first, unsigned last, int budget,
+                           std::int64_t wraps) {
   const std::int64_t code_size = static_cast<std::int64_t>(code_.size());
-  for (unsigned v = first + 1; v <= last; ++v) {
-    auto& V = workers_[v];
-    jit_slots_[v] = {V.regs.data(), V.pc, maxe_of(V)};
-  }
+  const unsigned n = last - first + 1;
+  for (unsigned v = first + 1; v <= last; ++v) jit_slots_[v] = jit_slot_of(v);
+  std::uint64_t rounds = 1;
   unsigned w = first;
   while (!result_.has_value()) {
     auto& W = workers_[w];
     if (budget <= 0 || W.idle || W.halted) {  // worker w's quantum is over
-      if (w == last) return;
+      if (w == last) break;
       ++w;
       budget = cfg_.quantum;
       continue;
@@ -697,6 +707,7 @@ void Vm::exec_jit(unsigned first, unsigned last, int budget) {
       // Bare cold slot (builtin call, halt, ...) or the canonical "pc out
       // of code range": single-step without the native round trip.
       --budget;
+      wraps = 0;
       exec_instr(w);
       continue;
     }
@@ -705,24 +716,42 @@ void Vm::exec_jit(unsigned first, unsigned last, int budget) {
     // architecturally invisible, since nothing observes the seam.
     const int stretch = budget < kMaxStretch ? budget : kMaxStretch;
     JitSlot& s = jit_slots_[w];
-    s = {W.regs.data(), W.pc, maxe_of(W)};
+    s = jit_slot_of(w);
     jit_state_.regs = s.regs;
     jit_state_.budget = stretch;
     jit_state_.pc = s.pc;
     jit_state_.maxe = s.maxe;
+    jit_state_.poll = s.poll;
     jit_state_.slot = &s;
     jit_state_.last = stretch < budget ? &s : &jit_slots_[last];
     jit_state_.quantum = cfg_.quantum;
+    jit_state_.first = &jit_slots_[first];
+    jit_state_.wraps = wraps;
     jit_->enter();
     ++jit_counters_.host_visits;
-    // Workers before the exiting slot spent their whole budgets natively.
+    // Rounds the stub wrapped into.  They ran no host code, so the first
+    // of them consumed run()'s work_dirty_ flag; this visit is in the last.
+    const std::int64_t laps = wraps - jit_state_.wraps;
+    wraps = 0;
+    if (laps > 0) {
+      rounds += static_cast<std::uint64_t>(laps);
+      work_dirty_ = false;
+    }
+    // Every slot the stub passed before the exiting one spent its whole
+    // budget natively and left its pc in its slot.
     const auto k = static_cast<unsigned>(jit_state_.slot - jit_slots_.data());
-    int given = stretch;  // the native budget of worker w
-    for (; w < k; ++w) {
-      workers_[w].pc = jit_slots_[w].pc;
-      stats_.instructions += static_cast<std::uint64_t>(given);
+    const std::uint64_t passes = static_cast<std::uint64_t>(laps) * n + k - w;
+    int given = stretch;  // the native budget of the exiting worker
+    if (passes > 0) {
+      stats_.instructions += static_cast<std::uint64_t>(stretch) +
+                             (passes - 1) * static_cast<std::uint64_t>(cfg_.quantum);
+      for (std::uint64_t i = 0; i < std::min<std::uint64_t>(passes, n); ++i) {
+        workers_[w].pc = jit_slots_[w].pc;
+        w = w == last ? first : w + 1;
+      }
       budget = given = cfg_.quantum;
     }
+    w = k;
     const int executed = given - static_cast<int>(jit_state_.budget);
     stats_.instructions += static_cast<std::uint64_t>(executed);
     budget -= executed;
@@ -732,24 +761,34 @@ void Vm::exec_jit(unsigned first, unsigned last, int budget) {
       exec_instr(w);  // oracle single-step (counts its own stats/histogram)
     }
   }
+  return rounds;
 }
 
 bool Vm::quanta_observed() {
   return stu::sched_recording() || stu::sched_replaying() || stu::trace_mask() != 0;
 }
 
-bool Vm::jit_round() {
+std::uint64_t Vm::jit_round() {
   const unsigned n = cfg_.workers;
   if (!jit_active_ || n < 2 || cfg_.quantum > kMaxStretch || quanta_observed()) {
-    return false;
+    return 0;
   }
   const Addr code_size = static_cast<Addr>(code_.size());
   for (const auto& W : workers_) {
-    if (W.idle || W.halted || W.pc < 0 || W.pc >= code_size) return false;
+    if (W.idle || W.halted || W.pc < 0 || W.pc >= code_size) return 0;
   }
-  ++jit_counters_.native_rounds;
-  exec_jit(0, n - 1, cfg_.quantum);
-  return true;
+  // As many whole rounds as keep stats_.instructions at or below
+  // max_steps, so a runaway program fails at the round the switch
+  // engine's per-round check fires on (step_worker's coalescing rule).
+  const std::uint64_t per_round =
+      static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(std::max(cfg_.quantum, 1));
+  const std::uint64_t room =
+      cfg_.max_steps > stats_.instructions ? cfg_.max_steps - stats_.instructions : 0;
+  const std::uint64_t batch = std::min(room / per_round, kMaxBatch);
+  const std::uint64_t rounds =
+      exec_jit(0, n - 1, cfg_.quantum, batch > 1 ? static_cast<std::int64_t>(batch - 1) : 0);
+  jit_counters_.native_rounds += rounds;
+  return rounds;
 }
 
 void Vm::take_trampoline(unsigned w, Addr token) {

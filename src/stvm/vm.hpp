@@ -152,7 +152,7 @@ class Vm {
   /// architectural -- the switch engine has no such seam -- so kept out
   /// of VmStats; reported by metrics_json() and ST_STATS.
   struct JitCounters {
-    std::uint64_t native_rounds = 0;  ///< rounds run by jit_round()
+    std::uint64_t native_rounds = 0;  ///< rounds run by jit_round() (not entries)
     std::uint64_t host_visits = 0;    ///< returns from native code to the host
   };
   const JitCounters& jit_counters() const { return jit_counters_; }
@@ -234,14 +234,21 @@ class Vm {
   /// native code (JitState::slot); cold instructions are single-stepped
   /// through exec_instr -- the switch engine is the oracle seam, so
   /// builtins, trampolines, halt and every fault path behave
-  /// byte-identically to an all-switch run.
-  void exec_jit(unsigned first, unsigned last, int budget);
-  /// Runs one scheduler round as exec_jit(0, workers-1, quantum): same
-  /// boundaries, order and counters as step_worker() over every worker.
-  /// Returns false, having run nothing, unless the JIT is on, several
-  /// workers are all busy at in-range pcs, the quantum fits kMaxStretch,
-  /// and no recorder, replayer or tracer observes quantum boundaries.
-  bool jit_round();
+  /// byte-identically to an all-switch run.  Up to `wraps` further
+  /// rounds of full quanta follow natively, until the first host visit
+  /// (`wraps` needs budget == quantum <= kMaxStretch); returns the
+  /// rounds run.
+  std::uint64_t exec_jit(unsigned first, unsigned last, int budget,
+                         std::int64_t wraps = 0);
+  /// Runs a batch of scheduler rounds as exec_jit(0, workers-1, quantum,
+  /// wraps): same boundaries, order and counters as step_worker() over
+  /// every worker, round after round.  The batch ends at the first host
+  /// visit (a cold instruction) or after as many whole rounds as keep
+  /// stats_.instructions at or below max_steps.  Returns the rounds run,
+  /// or 0, having run nothing, unless the JIT is on, several workers are
+  /// all busy at in-range pcs, the quantum fits kMaxStretch, and no
+  /// recorder, replayer or tracer observes quantum boundaries.
+  std::uint64_t jit_round();
   /// True when a schedule recorder, replayer or tracer is attached and
   /// so sees quantum boundaries; the JIT batches quanta only when not.
   static bool quanta_observed();
@@ -250,6 +257,8 @@ class Vm {
   /// frame until the exit stub unwinds), so one entry runs at most this
   /// many instructions per worker.
   static constexpr int kMaxStretch = 1 << 16;
+  /// Most quanta (one worker) or rounds (several) one native batch runs.
+  static constexpr std::uint64_t kMaxBatch = 4096;
   void idle_step(unsigned w);
   void do_builtin(unsigned w, int id);
   void take_trampoline(unsigned w, Addr token);
@@ -316,6 +325,22 @@ class Vm {
   /// above-stack sentinel when the exported set is empty.
   static Word maxe_of(const VmWorkerState& W) {
     return W.exported.empty() ? W.stack_hi + 1 : W.exported.max().fp;
+  }
+  /// JitSlot::poll: 0 when __st_poll has nothing to serve or pop, -1 when
+  /// a steal request is pending, else the topmost exported frame's
+  /// return-address slot (whose live word decides whether shrink pops).
+  /// addr_ok() bounds it by the memory span, which the JIT only compiles
+  /// for below 2^31 words.
+  std::int32_t poll_word_of(const VmWorkerState& W) const {
+    if (W.steal_request_from >= 0) return -1;
+    if (W.exported.empty()) return 0;
+    const Addr ra_slot = W.exported.max().ra_slot;
+    return addr_ok(ra_slot) ? static_cast<std::int32_t>(ra_slot) : -1;  // else the host faults
+  }
+  /// Native code only runs workers at in-code pcs, below 2^31 (compile()).
+  JitSlot jit_slot_of(unsigned v) {
+    auto& V = workers_[v];
+    return {V.regs.data(), static_cast<std::int32_t>(V.pc), poll_word_of(V), maxe_of(V)};
   }
   const ProcDescriptor* proc_of(Addr pc, const char* why) const;
   Addr make_trampoline(Trampoline t);

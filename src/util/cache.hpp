@@ -7,15 +7,14 @@
 #pragma once
 
 #include <cstddef>
-#include <new>
 
 namespace stu {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLine = std::hardware_destructive_interference_size;
-#else
+/// One fixed value rather than std::hardware_destructive_interference_size,
+/// whose value GCC warns may change between compiler versions and flags
+/// (an ABI hazard for padded layouts); 64 bytes is the line of every x86-64
+/// and common AArch64 part this runs on.
 inline constexpr std::size_t kCacheLine = 64;
-#endif
 
 /// Spin-wait hint: de-pipelines the core briefly and (on x86) releases
 /// the sibling hyperthread.  Stage 1 of the idle backoff.

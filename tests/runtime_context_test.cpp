@@ -80,7 +80,7 @@ st::ContextExit torture_coro(void* msg, void* arg) {
   auto* t = static_cast<RegTorture*>(arg);
   // Clobber everything clobberable.
   volatile long sink = 0;
-  for (long i = 0; i < 64; ++i) sink += i * i;
+  for (long i = 0; i < 64; ++i) sink = sink + i * i;
   st::ctx_swap(t->coro_ctx, t->main_ctx.sp, nullptr);
   ADD_FAILURE() << "resumed after final yield";
   return {t->main_ctx.sp, nullptr};

@@ -179,7 +179,9 @@ TEST_P(RegionChurnTest, NeverAliasesLiveSlots) {
       st::Stacklet* s = region.allocate();
       if (s->region != nullptr) {
         for (auto* other : live) {
-          if (other->region != nullptr) ASSERT_NE(other->slot, s->slot);
+          if (other->region != nullptr) {
+            ASSERT_NE(other->slot, s->slot);
+          }
         }
       }
       live.push_back(s);

@@ -4,6 +4,7 @@
 // both engines and the retirement-histogram sum invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -31,8 +32,8 @@ Instr I(Op op, int rd = 0, int ra = 0, int rb = 0, Word imm = 0, Addr target = -
 
 /// Shared invariants of any predecoded stream: one slot per instruction
 /// plus the trailing kBadPc sentinel; each slot's handler mirrors its
-/// opcode (builtin calls split off), with its operands and its resolved
-/// target.
+/// opcode (builtin calls split off, the steal poll into its own form),
+/// with its operands and its resolved target.
 void check_stream_invariants(const std::vector<Instr>& code, const Predecoded& pre) {
   ASSERT_EQ(pre.rcode.size(), code.size() + 1);
   EXPECT_EQ(static_cast<RunOp>(pre.rcode.back().h), RunOp::kBadPc);
@@ -40,8 +41,8 @@ void check_stream_invariants(const std::vector<Instr>& code, const Predecoded& p
     const Instr& ins = code[i];
     const RInstr& r = pre.rcode[i];
     const bool builtin = ins.op == Op::kCall && ins.target >= kBuiltinBase;
-    EXPECT_EQ(static_cast<RunOp>(r.h),
-              builtin ? RunOp::kCallBuiltin : static_cast<RunOp>(ins.op))
+    const RunOp split = ins.label == kPollEntry ? RunOp::kPoll : RunOp::kCallBuiltin;
+    EXPECT_EQ(static_cast<RunOp>(r.h), builtin ? split : static_cast<RunOp>(ins.op))
         << "slot " << i;
     EXPECT_EQ(r.d, ins.rd) << "slot " << i;
     EXPECT_EQ(r.a, ins.ra) << "slot " << i;
@@ -77,7 +78,11 @@ TEST(Predecode, UnfusedStreamIsOneToOne) {
     ins.target = it != prog.module.labels.end() ? static_cast<Addr>(it->second)
                                                 : kBuiltinBase;
   }
-  check_stream_invariants(linked, predecode(linked));
+  const Predecoded pre = predecode(linked);
+  check_stream_invariants(linked, pre);
+  EXPECT_TRUE(std::any_of(pre.rcode.begin(), pre.rcode.end(), [](const RInstr& r) {
+    return static_cast<RunOp>(r.h) == RunOp::kPoll;
+  })) << "pfib's steal polls lost their run-form op";
 }
 
 TEST(Predecode, InvalidDispatchEnvThrows) {

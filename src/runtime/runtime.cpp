@@ -8,6 +8,8 @@
 #include <mutex>
 #include <semaphore>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #if defined(__linux__)
 #include <linux/futex.h>
@@ -145,6 +147,23 @@ ST_NO_TSAN_FRAME ContextExit child_entry(void* raw_msg, void* arg) {
   if (w->poll_word() & Worker::kPollServe) [[unlikely]] w->poll_slow();
   s->invoke(s->closure);
   return complete_child(s);
+}
+
+/// Calls f(name, unit, scale, merged) for every ST_WORKER_HISTOGRAMS
+/// row, in table order, with the row merged over all workers and `scale`
+/// converting its samples to `unit`.
+template <class F>
+void for_each_histogram(const std::vector<std::unique_ptr<Worker>>& workers, F&& f) {
+  const double ns = stu::trace_ns_per_tick();
+  auto merge = [&](stu::LogHistogram WorkerMetrics::*h) {
+    stu::HistogramSnapshot merged;
+    for (const auto& w : workers) merged.merge((w->metrics().*h).snapshot());
+    return merged;
+  };
+#define ST_HISTOGRAM_VISIT(member, unit) \
+  f(#member, #unit, std::string_view(#unit) == "ns" ? ns : 1.0, merge(&WorkerMetrics::member));
+  ST_WORKER_HISTOGRAMS(ST_HISTOGRAM_VISIT)
+#undef ST_HISTOGRAM_VISIT
 }
 
 }  // namespace
@@ -419,23 +438,10 @@ void Worker::fork_poll_slow(Stacklet* s) noexcept {
 }
 
 void Worker::publish_stats() noexcept {
-  mirror_.forks.store(stats_.forks, std::memory_order_relaxed);
-  mirror_.suspends.store(stats_.suspends, std::memory_order_relaxed);
-  mirror_.resumes.store(stats_.resumes, std::memory_order_relaxed);
-  mirror_.steals_served.store(stats_.steals_served, std::memory_order_relaxed);
-  mirror_.steals_received.store(stats_.steals_received, std::memory_order_relaxed);
-  mirror_.steal_attempts.store(stats_.steal_attempts, std::memory_order_relaxed);
-  mirror_.steals_rejected.store(stats_.steals_rejected, std::memory_order_relaxed);
-  mirror_.steals_cancelled.store(stats_.steals_cancelled, std::memory_order_relaxed);
-  mirror_.steals_local.store(stats_.steals_local, std::memory_order_relaxed);
-  mirror_.steals_remote.store(stats_.steals_remote, std::memory_order_relaxed);
-  mirror_.steal_tasks.store(stats_.steal_tasks, std::memory_order_relaxed);
-  mirror_.tasks_completed.store(stats_.tasks_completed, std::memory_order_relaxed);
-  mirror_.io_wakeups.store(stats_.io_wakeups, std::memory_order_relaxed);
-  mirror_.io_events.store(stats_.io_events, std::memory_order_relaxed);
-  mirror_.io_timers.store(stats_.io_timers, std::memory_order_relaxed);
-  mirror_.io_migrations.store(stats_.io_migrations, std::memory_order_relaxed);
-  mirror_.io_cancels.store(stats_.io_cancels, std::memory_order_relaxed);
+#define ST_COUNTER_PUBLISH(field, key) \
+  mirror_.field.store(stats_.field, std::memory_order_relaxed);
+  ST_WORKER_COUNTERS(ST_COUNTER_PUBLISH, ST_COUNTER_SKIP)
+#undef ST_COUNTER_PUBLISH
   hb_mirror_.store(hb_, std::memory_order_relaxed);
   publish_depth();
 }
@@ -448,7 +454,7 @@ void Worker::publish_depth() noexcept {
 void Worker::sample_depth() noexcept {
   publish_depth();
   if (stu::metrics_enabled()) {
-    metrics_.deque_depth.record(fork_deque_.size());
+    metrics_.fork_deque_depth.record(fork_deque_.size());
   }
 }
 
@@ -890,66 +896,26 @@ Runtime::~Runtime() {
     stu::MetricsRegistry::instance().remove_provider(metrics_provider_);
   }
   if (stu::trace_stats_enabled()) {
-    const RuntimeStats s = stats();
-    std::fprintf(stderr,
-                 "[st-stats runtime workers=%u domains=%u] forks=%llu suspends=%llu "
-                 "resumes=%llu tasks=%llu steal{attempts=%llu served=%llu "
-                 "received=%llu rejected=%llu cancelled=%llu local=%llu "
-                 "remote=%llu tasks=%llu} region{high_water=%llu "
-                 "heap_fallbacks=%llu scavenges=%llu trims=%llu} io{wakeups=%llu "
-                 "events=%llu timers=%llu migrations=%llu cancels=%llu}\n",
-                 num_workers(), num_domains(),
-                 static_cast<unsigned long long>(s.forks),
-                 static_cast<unsigned long long>(s.suspends),
-                 static_cast<unsigned long long>(s.resumes),
-                 static_cast<unsigned long long>(s.tasks_completed),
-                 static_cast<unsigned long long>(s.steal_attempts),
-                 static_cast<unsigned long long>(s.steals_served),
-                 static_cast<unsigned long long>(s.steals_received),
-                 static_cast<unsigned long long>(s.steals_rejected),
-                 static_cast<unsigned long long>(s.steals_cancelled),
-                 static_cast<unsigned long long>(s.steals_local),
-                 static_cast<unsigned long long>(s.steals_remote),
-                 static_cast<unsigned long long>(s.steal_tasks),
-                 static_cast<unsigned long long>(s.region_high_water),
-                 static_cast<unsigned long long>(s.heap_fallbacks),
-                 static_cast<unsigned long long>(s.region_scavenges),
-                 static_cast<unsigned long long>(s.region_trims),
-                 static_cast<unsigned long long>(s.io_wakeups),
-                 static_cast<unsigned long long>(s.io_events),
-                 static_cast<unsigned long long>(s.io_timers),
-                 static_cast<unsigned long long>(s.io_migrations),
-                 static_cast<unsigned long long>(s.io_cancels));
+    std::string line;
+    stats().for_each([&](const char* key, std::uint64_t v) {
+      line += std::string(" ") + key + "=" + std::to_string(v);
+    });
+    std::fprintf(stderr, "[st-stats runtime workers=%u domains=%u]%s\n", num_workers(),
+                 num_domains(), line.c_str());
     if (stu::metrics_enabled()) {
       // ST_STATS grows latency percentile tables when metrics were on.
-      const double ns = stu::trace_ns_per_tick();
-      struct Row {
-        const char* name;
-        double scale;
-        stu::LogHistogram WorkerMetrics::*h;
-      };
-      const Row rows[] = {
-          {"steal_latency_ns", ns, &WorkerMetrics::steal_latency},
-          {"steal_cancel_latency_ns", ns, &WorkerMetrics::steal_cancel_latency},
-          {"suspend_to_restart_ns", ns, &WorkerMetrics::suspend_to_restart},
-          {"fork_deque_depth", 1.0, &WorkerMetrics::deque_depth},
-          {"steal_batch_size", 1.0, &WorkerMetrics::steal_batch_size},
-          {"io_wait_ns", ns, &WorkerMetrics::io_wait},
-          {"io_ready_batch", 1.0, &WorkerMetrics::io_ready_batch},
-      };
-      for (const Row& row : rows) {
-        stu::HistogramSnapshot merged;
-        for (const auto& w : workers_) merged.merge((w->metrics().*row.h).snapshot());
-        if (merged.count == 0) continue;
+      for_each_histogram(workers_, [](const char* name, const char* unit, double scale,
+                                      const stu::HistogramSnapshot& merged) {
+        if (merged.count == 0) return;
         const stu::Summary sum = merged.summarize();
         std::fprintf(stderr,
-                     "[st-stats histogram %s] count=%llu min=%.0f p50=%.0f "
+                     "[st-stats histogram %s%s] count=%llu min=%.0f p50=%.0f "
                      "p90=%.0f p99=%.0f max=%.0f mean=%.1f\n",
-                     row.name, static_cast<unsigned long long>(merged.count),
-                     sum.min * row.scale, sum.median * row.scale,
-                     sum.p90 * row.scale, sum.p99 * row.scale,
-                     sum.max * row.scale, sum.mean * row.scale);
-      }
+                     name, std::string_view(unit) == "ns" ? "_ns" : "",
+                     static_cast<unsigned long long>(merged.count), sum.min * scale,
+                     sum.median * scale, sum.p90 * scale, sum.p99 * scale,
+                     sum.max * scale, sum.mean * scale);
+      });
     }
   }
 }
@@ -1266,31 +1232,12 @@ RuntimeStats Runtime::stats() const {
   RuntimeStats out;
   for (const auto& w : workers_) {
     const WorkerStatsMirror& m = w->stats_mirror();
-    auto get = [](const std::atomic<std::uint64_t>& a) {
-      return a.load(std::memory_order_relaxed);
-    };
-    out.forks += get(m.forks);
-    out.suspends += get(m.suspends);
-    out.resumes += get(m.resumes);
-    out.steals_served += get(m.steals_served);
-    out.steals_received += get(m.steals_received);
-    out.steal_attempts += get(m.steal_attempts);
-    out.steals_rejected += get(m.steals_rejected);
-    out.steals_cancelled += get(m.steals_cancelled);
-    out.steals_local += get(m.steals_local);
-    out.steals_remote += get(m.steals_remote);
-    out.steal_tasks += get(m.steal_tasks);
-    out.tasks_completed += get(m.tasks_completed);
-    out.io_wakeups += get(m.io_wakeups);
-    out.io_events += get(m.io_events);
-    out.io_timers += get(m.io_timers);
-    out.io_migrations += get(m.io_migrations);
-    out.io_cancels += get(m.io_cancels);
-    StackRegion& r = w->region();
-    out.region_high_water += r.high_water();
-    out.heap_fallbacks += r.heap_fallbacks();
-    out.region_scavenges += r.scavenges();
-    out.region_trims += r.trims();
+    const StackRegion& r = w->region();
+#define ST_COUNTER_ADD(field, key) out.field += m.field.load(std::memory_order_relaxed);
+#define ST_COUNTER_ADD_REGION(field, getter) out.field += r.getter();
+    ST_WORKER_COUNTERS(ST_COUNTER_ADD, ST_COUNTER_ADD_REGION)
+#undef ST_COUNTER_ADD
+#undef ST_COUNTER_ADD_REGION
   }
   return out;
 }
@@ -1300,25 +1247,13 @@ std::string Runtime::metrics_json() const {
   const RuntimeStats agg = stats();
   std::ostringstream os;
   os << "{\"kind\":\"runtime\",\"workers\":" << workers_.size() << ","
-     << "\"counters\":{"
-     << "\"forks\":" << agg.forks << ",\"suspends\":" << agg.suspends
-     << ",\"resumes\":" << agg.resumes << ",\"tasks_completed\":" << agg.tasks_completed
-     << ",\"steal_attempts\":" << agg.steal_attempts
-     << ",\"steals_served\":" << agg.steals_served
-     << ",\"steals_received\":" << agg.steals_received
-     << ",\"steals_rejected\":" << agg.steals_rejected
-     << ",\"steals_cancelled\":" << agg.steals_cancelled
-     << ",\"steal_local\":" << agg.steals_local
-     << ",\"steal_remote\":" << agg.steals_remote
-     << ",\"steal_tasks\":" << agg.steal_tasks
-     << ",\"region_high_water\":" << agg.region_high_water
-     << ",\"heap_fallbacks\":" << agg.heap_fallbacks
-     << ",\"region_scavenges\":" << agg.region_scavenges
-     << ",\"region_trims\":" << agg.region_trims
-     << ",\"io_wakeups\":" << agg.io_wakeups << ",\"io_events\":" << agg.io_events
-     << ",\"io_timers\":" << agg.io_timers
-     << ",\"io_migrations\":" << agg.io_migrations
-     << ",\"io_cancels\":" << agg.io_cancels << "},";
+     << "\"counters\":{";
+  const char* sep = "";
+  agg.for_each([&](const char* key, std::uint64_t v) {
+    os << sep << '"' << key << "\":" << v;
+    sep = ",";
+  });
+  os << "},";
   // Steal-domain hierarchy (ST_TOPOLOGY): per-domain membership and the
   // idle-wake counter -- the "did work reach the remote socket" signal.
   os << "\"domains\":[";
@@ -1357,30 +1292,13 @@ std::string Runtime::metrics_json() const {
        << ",\"trims\":" << r.trims() << "}}";
   }
   os << "],";
-  const double ns = stu::trace_ns_per_tick();
-  struct Row {
-    const char* name;
-    const char* unit;
-    double scale;
-    stu::LogHistogram WorkerMetrics::*h;
-  };
-  const Row rows[] = {
-      {"steal_latency", "ns", ns, &WorkerMetrics::steal_latency},
-      {"steal_cancel_latency", "ns", ns, &WorkerMetrics::steal_cancel_latency},
-      {"suspend_to_restart", "ns", ns, &WorkerMetrics::suspend_to_restart},
-      {"fork_deque_depth", "tasks", 1.0, &WorkerMetrics::deque_depth},
-      {"steal_batch_size", "tasks", 1.0, &WorkerMetrics::steal_batch_size},
-      {"io_wait", "ns", ns, &WorkerMetrics::io_wait},
-      {"io_ready_batch", "events", 1.0, &WorkerMetrics::io_ready_batch},
-  };
   os << "\"histograms\":[";
-  bool first = true;
-  for (const Row& row : rows) {
-    stu::HistogramSnapshot merged;
-    for (const auto& w : workers_) merged.merge((w->metrics().*row.h).snapshot());
-    os << (first ? "" : ",") << merged.to_json(row.name, row.unit, row.scale);
-    first = false;
-  }
+  const char* hsep = "";
+  for_each_histogram(workers_, [&](const char* name, const char* unit, double scale,
+                                   const stu::HistogramSnapshot& merged) {
+    os << hsep << merged.to_json(name, unit, scale);
+    hsep = ",";
+  });
   os << "]}";
   return os.str();
 }

@@ -91,17 +91,20 @@ struct IdlePolicy {
   int steal_batch = 4;
 };
 
-/// Aggregated counters over all workers (see WorkerStats).
+/// Aggregated counters over all workers: every ST_WORKER_COUNTERS row.
 struct RuntimeStats {
-  std::uint64_t forks = 0, suspends = 0, resumes = 0;
-  std::uint64_t steals_served = 0, steals_received = 0, steal_attempts = 0,
-                steals_rejected = 0, steals_cancelled = 0;
-  std::uint64_t steals_local = 0, steals_remote = 0, steal_tasks = 0;
-  std::uint64_t tasks_completed = 0;
-  std::uint64_t region_high_water = 0, heap_fallbacks = 0;
-  std::uint64_t region_scavenges = 0, region_trims = 0;
-  std::uint64_t io_wakeups = 0, io_events = 0, io_timers = 0;
-  std::uint64_t io_migrations = 0, io_cancels = 0;
+  ST_WORKER_COUNTERS(ST_COUNTER_FIELD, ST_COUNTER_FIELD)
+
+  /// Calls f(key, value) for every counter, in table order (the order of
+  /// metrics_json's "counters" object and of the ST_STATS line).
+  template <class F>
+  void for_each(F&& f) const {
+#define ST_COUNTER_VISIT(field, key) f(#key, field);
+#define ST_COUNTER_VISIT_REGION(field, getter) f(#field, field);
+    ST_WORKER_COUNTERS(ST_COUNTER_VISIT, ST_COUNTER_VISIT_REGION)
+#undef ST_COUNTER_VISIT
+#undef ST_COUNTER_VISIT_REGION
+  }
 };
 
 class Runtime {

@@ -114,49 +114,55 @@ class IoPoller {
   virtual void wake() noexcept = 0;
 };
 
-/// Per-worker counters.  Plain fields: written only by the owning worker
-/// thread, read by nobody else.  The owner copies them into the atomic
-/// WorkerStatsMirror from the slow path (publish_stats); readers go
-/// through the mirror.
+/// The runtime's counter table, in RuntimeStats field order.  Every
+/// counter struct, copy, aggregate and renderer is generated from it, so
+/// a new counter costs one row plus its increment.  Two kinds of row:
+///   X(field, key)     a per-worker WorkerStats field, bumped by the owner;
+///   R(field, getter)  read from each worker's StackRegion by stats().
+/// `key` names the counter in metrics_json and the ST_STATS line (an R
+/// row's key is its field name).  Row comments must be block comments:
+/// a line comment would swallow the continuation.
+#define ST_WORKER_COUNTERS(X, R)                                            \
+  X(forks, forks)                                                           \
+  X(suspends, suspends)                                                     \
+  X(resumes, resumes)                                                       \
+  X(steals_served, steals_served)                                           \
+  X(steals_received, steals_received)                                       \
+  X(steal_attempts, steal_attempts)                                         \
+  X(steals_rejected, steals_rejected)                                       \
+  X(steals_cancelled, steals_cancelled)                                     \
+  X(steals_local, steal_local)   /* received, victim in this domain */      \
+  X(steals_remote, steal_remote) /* received, victim in another domain */   \
+  X(steal_tasks, steal_tasks)    /* continuations received incl. extras */  \
+  X(tasks_completed, tasks_completed)                                       \
+  R(region_high_water, high_water)                                          \
+  R(heap_fallbacks, heap_fallbacks)                                         \
+  R(region_scavenges, scavenges)                                            \
+  R(region_trims, trims)                                                    \
+  X(io_wakeups, io_wakeups)       /* epoll_wait returns with >= 1 event */  \
+  X(io_events, io_events)         /* waiters resumed by readiness/expiry */ \
+  X(io_timers, io_timers)         /* sleep_for expiries delivered */        \
+  X(io_migrations, io_migrations) /* fd interest re-homed after a steal */  \
+  X(io_cancels, io_cancels)       /* waiters cancelled by close() */
+
+/// Row expanders shared by WorkerStats and RuntimeStats: a plain counter
+/// field, or nothing (for the rows a struct does not hold).
+#define ST_COUNTER_FIELD(field, arg) std::uint64_t field = 0;
+#define ST_COUNTER_SKIP(field, arg)
+
+/// Per-worker counters (the X rows).  Plain fields: written only by the
+/// owning worker thread, read by nobody else.  The owner copies them into
+/// the atomic WorkerStatsMirror from the slow path (publish_stats);
+/// readers go through the mirror.
 struct WorkerStats {
-  std::uint64_t forks = 0;
-  std::uint64_t suspends = 0;
-  std::uint64_t resumes = 0;
-  std::uint64_t steals_served = 0;
-  std::uint64_t steals_received = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t steals_rejected = 0;
-  std::uint64_t steals_cancelled = 0;
-  std::uint64_t steals_local = 0;   ///< received, victim in this worker's domain
-  std::uint64_t steals_remote = 0;  ///< received, victim in another domain
-  std::uint64_t steal_tasks = 0;    ///< continuations received incl. batch extras
-  std::uint64_t tasks_completed = 0;
-  std::uint64_t io_wakeups = 0;     ///< epoll_wait returns with >= 1 event
-  std::uint64_t io_events = 0;      ///< waiters resumed by readiness/expiry
-  std::uint64_t io_timers = 0;      ///< sleep_for expiries delivered
-  std::uint64_t io_migrations = 0;  ///< fd interest re-homed after a steal
-  std::uint64_t io_cancels = 0;     ///< waiters cancelled by close()
+  ST_WORKER_COUNTERS(ST_COUNTER_FIELD, ST_COUNTER_SKIP)
 };
 
 /// Racy-reader copy of WorkerStats (relaxed atomics, single publisher).
 struct WorkerStatsMirror {
-  std::atomic<std::uint64_t> forks{0};
-  std::atomic<std::uint64_t> suspends{0};
-  std::atomic<std::uint64_t> resumes{0};
-  std::atomic<std::uint64_t> steals_served{0};
-  std::atomic<std::uint64_t> steals_received{0};
-  std::atomic<std::uint64_t> steal_attempts{0};
-  std::atomic<std::uint64_t> steals_rejected{0};
-  std::atomic<std::uint64_t> steals_cancelled{0};
-  std::atomic<std::uint64_t> steals_local{0};
-  std::atomic<std::uint64_t> steals_remote{0};
-  std::atomic<std::uint64_t> steal_tasks{0};
-  std::atomic<std::uint64_t> tasks_completed{0};
-  std::atomic<std::uint64_t> io_wakeups{0};
-  std::atomic<std::uint64_t> io_events{0};
-  std::atomic<std::uint64_t> io_timers{0};
-  std::atomic<std::uint64_t> io_migrations{0};
-  std::atomic<std::uint64_t> io_cancels{0};
+#define ST_COUNTER_ATOMIC(field, arg) std::atomic<std::uint64_t> field{0};
+  ST_WORKER_COUNTERS(ST_COUNTER_ATOMIC, ST_COUNTER_SKIP)
+#undef ST_COUNTER_ATOMIC
 };
 
 /// What the worker is doing right now, for the monitor's classification
@@ -210,16 +216,23 @@ class CellCache {
   void* blocks_[kCap];
 };
 
+/// The runtime's histogram table, in metrics_json / ST_STATS order:
+/// X(member, unit).  "ns" rows record trace_clock() ticks, rendered in ns
+/// (ST_STATS suffixes their name with _ns); the others record counts.
+#define ST_WORKER_HISTOGRAMS(X)                                            \
+  X(steal_latency, ns)          /* post -> served/rejected */              \
+  X(steal_cancel_latency, ns)   /* post -> withdrawn */                    \
+  X(suspend_to_restart, ns)     /* suspend() -> dispatch */                \
+  X(fork_deque_depth, tasks)    /* fork-deque depth, decimated sample */   \
+  X(steal_batch_size, tasks)    /* continuations per served steal */       \
+  X(io_wait, ns)                /* fd-suspend arm -> readiness */          \
+  X(io_ready_batch, events)     /* events per epoll_wait return */
+
 /// Per-worker latency/depth instruments (owner-writes, monitor-reads).
-/// All histograms record trace_clock() ticks except deque_depth (counts).
 struct WorkerMetrics {
-  stu::LogHistogram steal_latency;       ///< post -> served/rejected, ticks
-  stu::LogHistogram steal_cancel_latency;///< post -> withdrawn, ticks
-  stu::LogHistogram suspend_to_restart;  ///< suspend() -> dispatch, ticks
-  stu::LogHistogram deque_depth;         ///< fork-deque depth, decimated sample
-  stu::LogHistogram io_wait;             ///< fd-suspend arm -> readiness, ticks
-  stu::LogHistogram io_ready_batch;      ///< events per epoll_wait return (counts)
-  stu::LogHistogram steal_batch_size;    ///< continuations per served steal (counts)
+#define ST_HISTOGRAM_MEMBER(member, unit) stu::LogHistogram member;
+  ST_WORKER_HISTOGRAMS(ST_HISTOGRAM_MEMBER)
+#undef ST_HISTOGRAM_MEMBER
 };
 
 class alignas(stu::kCacheLine) Worker {
@@ -234,7 +247,7 @@ class alignas(stu::kCacheLine) Worker {
   static constexpr std::uint32_t kPollServe = kPollSteal | kPollSample | kPollParked;
 
   /// Fork-deque depth publication cadence on the fork fast path
-  /// (power-of-two decimation; also the deque_depth sampling rate).
+  /// (power-of-two decimation; also the fork_deque_depth sampling rate).
   static constexpr int kDepthSampleEvery = 64;
 
   /// Scheduler-loop cadence of the nonblocking reactor poll while the
@@ -295,7 +308,7 @@ class alignas(stu::kCacheLine) Worker {
   /// array (one relaxed store; thieves read it to pick victims).
   void publish_depth() noexcept;
 
-  /// publish_depth plus, when metrics are on, a deque_depth histogram
+  /// publish_depth plus, when metrics are on, a fork_deque_depth histogram
   /// sample -- the decimated replacement for the per-fork record.
   void sample_depth() noexcept;
 

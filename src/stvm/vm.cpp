@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "stvm/verify.hpp"
 #include "util/domain_spec.hpp"
@@ -147,21 +148,11 @@ Vm::~Vm() {
     stu::MetricsRegistry::instance().remove_provider(metrics_provider_);
   }
   if (stu::trace_stats_enabled()) {
-    std::fprintf(stderr,
-                 "[st-stats stvm workers=%u] instructions=%llu suspends=%llu "
-                 "restarts=%llu resumes=%llu steal{served=%llu rejected=%llu} "
-                 "frames_unwound=%llu shrink_reclaimed=%llu retired_marks=%llu "
-                 "trampolines=%llu\n",
-                 cfg_.workers, static_cast<unsigned long long>(stats_.instructions),
-                 static_cast<unsigned long long>(stats_.suspends),
-                 static_cast<unsigned long long>(stats_.restarts),
-                 static_cast<unsigned long long>(stats_.resumes),
-                 static_cast<unsigned long long>(stats_.steals_served),
-                 static_cast<unsigned long long>(stats_.steals_rejected),
-                 static_cast<unsigned long long>(stats_.frames_unwound),
-                 static_cast<unsigned long long>(stats_.shrink_reclaimed),
-                 static_cast<unsigned long long>(stats_.retired_marks_seen),
-                 static_cast<unsigned long long>(stats_.trampolines_taken));
+    std::string line;
+    stats_.for_each([&](const char* key, std::uint64_t v) {
+      line += std::string(" ") + key + "=" + std::to_string(v);
+    });
+    std::fprintf(stderr, "[st-stats stvm workers=%u]%s\n", cfg_.workers, line.c_str());
     if (jit_active_) {
       std::fprintf(stderr, "[st-stats stvm jit] native_rounds=%llu host_visits=%llu\n",
                    static_cast<unsigned long long>(jit_counters_.native_rounds),
@@ -1268,16 +1259,13 @@ std::string Vm::metrics_json() const {
   std::ostringstream os;
   os << "{\"kind\":\"stvm\",\"workers\":" << cfg_.workers << ","
      << "\"dispatch\":\"" << (jit_active_ ? "jit" : "switch") << "\","
-     << "\"counters\":{"
-     << "\"instructions\":" << stats_.instructions
-     << ",\"suspends\":" << stats_.suspends << ",\"restarts\":" << stats_.restarts
-     << ",\"resumes\":" << stats_.resumes
-     << ",\"steals_served\":" << stats_.steals_served
-     << ",\"steals_rejected\":" << stats_.steals_rejected
-     << ",\"frames_unwound\":" << stats_.frames_unwound
-     << ",\"shrink_reclaimed\":" << stats_.shrink_reclaimed
-     << ",\"retired_marks_seen\":" << stats_.retired_marks_seen
-     << ",\"trampolines_taken\":" << stats_.trampolines_taken << "},";
+     << "\"counters\":{";
+  const char* sep = "";
+  stats_.for_each([&](const char* key, std::uint64_t v) {
+    os << sep << '"' << key << "\":" << v;
+    sep = ",";
+  });
+  os << "},";
   if (jit_active_) {
     os << "\"jit\":{\"native_rounds\":" << jit_counters_.native_rounds
        << ",\"host_visits\":" << jit_counters_.host_visits << "},";

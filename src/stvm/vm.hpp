@@ -80,17 +80,37 @@ struct VmConfig {
   bool count_opcodes = false;
 };
 
+/// The STVM's counter table, in VmStats field order: X(field), whose name
+/// is also its key in metrics_json and the ST_STATS line.  The struct, its
+/// == and both renderers are generated from it; both engines must agree
+/// on every row.
+#define ST_VM_COUNTERS(X) \
+  X(instructions)         \
+  X(suspends)             \
+  X(restarts)             \
+  X(resumes)              \
+  X(steals_served)        \
+  X(steals_rejected)      \
+  X(frames_unwound)       \
+  X(shrink_reclaimed)     \
+  X(retired_marks_seen)   \
+  X(trampolines_taken)
+
 struct VmStats {
-  std::uint64_t instructions = 0;
-  std::uint64_t suspends = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t resumes = 0;
-  std::uint64_t steals_served = 0;
-  std::uint64_t steals_rejected = 0;
-  std::uint64_t frames_unwound = 0;
-  std::uint64_t shrink_reclaimed = 0;
-  std::uint64_t retired_marks_seen = 0;
-  std::uint64_t trampolines_taken = 0;
+#define ST_VM_COUNTER_FIELD(field) std::uint64_t field = 0;
+  ST_VM_COUNTERS(ST_VM_COUNTER_FIELD)
+#undef ST_VM_COUNTER_FIELD
+
+  bool operator==(const VmStats&) const = default;
+
+  /// Calls f(key, value) for every counter, in table order (the order of
+  /// metrics_json's "counters" object and of the ST_STATS line).
+  template <class F>
+  void for_each(F&& f) const {
+#define ST_VM_COUNTER_VISIT(field) f(#field, field);
+    ST_VM_COUNTERS(ST_VM_COUNTER_VISIT)
+#undef ST_VM_COUNTER_VISIT
+  }
 };
 
 class Vm {

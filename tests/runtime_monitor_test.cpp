@@ -3,9 +3,11 @@
 // (docs/OBSERVABILITY.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -171,6 +173,46 @@ TEST(Monitor, DumpRuntimeStateListsAllWorkers) {
   EXPECT_NE(dump.find("worker 0:"), std::string::npos);
   EXPECT_NE(dump.find("worker 2:"), std::string::npos);
   EXPECT_NE(dump.find("logical stack"), std::string::npos);
+}
+
+void fork_tree(int depth) {
+  if (depth == 0) return;
+  st::JoinCounter jc(2);
+  for (int i = 0; i < 2; ++i) st::fork([&jc, depth] { fork_tree(depth - 1); jc.finish(); });
+  jc.join();
+}
+
+// The counter table drives metrics_json: every ST_WORKER_COUNTERS row
+// appears in "counters" under its key with the value stats() returned,
+// and nothing else does.  The JSON renders between two stats() reads, so
+// a late idle-path bump cannot make the test flaky.
+TEST(CounterTable, RuntimeMetricsJsonCarriesEveryRow) {
+  st::RuntimeConfig cfg;
+  cfg.workers = 4;
+  cfg.stall_ms = 0;
+  st::Runtime rt(cfg);
+  rt.run([] { fork_tree(12); });
+  const st::RuntimeStats lo = rt.stats();
+  const std::string json = rt.metrics_json();
+  const st::RuntimeStats hi = rt.stats();
+  const std::size_t begin = json.find("\"counters\":{"), end = json.find('}', begin);
+  ASSERT_NE(begin, std::string::npos) << json;
+  long rows = 0;
+  auto expect_row = [&](const std::string& key, std::uint64_t low, std::uint64_t high) {
+    ++rows;
+    const std::size_t at = json.find('"' + key + "\":", begin);
+    ASSERT_LT(at, end) << key << " missing from " << json;
+    const std::uint64_t v = std::strtoull(json.c_str() + at + key.size() + 3, nullptr, 10);
+    EXPECT_TRUE(v >= low && v <= high) << key << '=' << v << " outside " << low << ".." << high;
+  };
+#define EXPECT_ROW(field, key) expect_row(#key, lo.field, hi.field);
+#define EXPECT_REGION_ROW(field, getter) expect_row(#field, lo.field, hi.field);
+  ST_WORKER_COUNTERS(EXPECT_ROW, EXPECT_REGION_ROW)
+#undef EXPECT_ROW
+#undef EXPECT_REGION_ROW
+  // One colon per row, plus the "counters" key's own.
+  EXPECT_EQ(std::count(json.begin() + begin, json.begin() + end, ':'), rows + 1) << json;
+  EXPECT_EQ(lo.forks, (1u << 13) - 2);
 }
 
 }  // namespace

@@ -35,17 +35,11 @@ struct StvmRun {
   std::uint64_t digest = 0;
 };
 
+/// One EXPECT_EQ per ST_VM_COUNTERS row, naming the counter that drifted.
 void expect_stats_eq(const stvm::VmStats& a, const stvm::VmStats& b) {
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.suspends, b.suspends);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.resumes, b.resumes);
-  EXPECT_EQ(a.steals_served, b.steals_served);
-  EXPECT_EQ(a.steals_rejected, b.steals_rejected);
-  EXPECT_EQ(a.frames_unwound, b.frames_unwound);
-  EXPECT_EQ(a.shrink_reclaimed, b.shrink_reclaimed);
-  EXPECT_EQ(a.retired_marks_seen, b.retired_marks_seen);
-  EXPECT_EQ(a.trampolines_taken, b.trampolines_taken);
+#define EXPECT_COUNTER_EQ(field) EXPECT_EQ(a.field, b.field) << #field;
+  ST_VM_COUNTERS(EXPECT_COUNTER_EQ)
+#undef EXPECT_COUNTER_EQ
 }
 
 /// One pfib run under the current global sched mode.  The ring must be

@@ -192,16 +192,9 @@ void expect_same_run(const FullRun& a, const FullRun& b) {
   EXPECT_EQ(a.threw, b.threw);
   EXPECT_EQ(a.result, b.result);
   EXPECT_EQ(a.printed, b.printed);
-  EXPECT_EQ(a.stats.instructions, b.stats.instructions);
-  EXPECT_EQ(a.stats.suspends, b.stats.suspends);
-  EXPECT_EQ(a.stats.restarts, b.stats.restarts);
-  EXPECT_EQ(a.stats.resumes, b.stats.resumes);
-  EXPECT_EQ(a.stats.steals_served, b.stats.steals_served);
-  EXPECT_EQ(a.stats.steals_rejected, b.stats.steals_rejected);
-  EXPECT_EQ(a.stats.frames_unwound, b.stats.frames_unwound);
-  EXPECT_EQ(a.stats.shrink_reclaimed, b.stats.shrink_reclaimed);
-  EXPECT_EQ(a.stats.retired_marks_seen, b.stats.retired_marks_seen);
-  EXPECT_EQ(a.stats.trampolines_taken, b.stats.trampolines_taken);
+#define EXPECT_COUNTER_EQ(field) EXPECT_EQ(a.stats.field, b.stats.field) << #field;
+  ST_VM_COUNTERS(EXPECT_COUNTER_EQ)
+#undef EXPECT_COUNTER_EQ
   for (int h = 0; h < kNumRunOps; ++h)
     EXPECT_EQ(a.canonical[static_cast<std::size_t>(h)],
               b.canonical[static_cast<std::size_t>(h)])

@@ -42,16 +42,9 @@ stvm::PostprocResult compile_verified(const std::string& src,
 /// divergence names the counter that drifted.
 void expect_stats_equal(const stvm::VmStats& x, const stvm::VmStats& y,
                         const char* who) {
-  EXPECT_EQ(x.instructions, y.instructions) << who;
-  EXPECT_EQ(x.suspends, y.suspends) << who;
-  EXPECT_EQ(x.restarts, y.restarts) << who;
-  EXPECT_EQ(x.resumes, y.resumes) << who;
-  EXPECT_EQ(x.steals_served, y.steals_served) << who;
-  EXPECT_EQ(x.steals_rejected, y.steals_rejected) << who;
-  EXPECT_EQ(x.frames_unwound, y.frames_unwound) << who;
-  EXPECT_EQ(x.shrink_reclaimed, y.shrink_reclaimed) << who;
-  EXPECT_EQ(x.retired_marks_seen, y.retired_marks_seen) << who;
-  EXPECT_EQ(x.trampolines_taken, y.trampolines_taken) << who;
+#define EXPECT_COUNTER_EQ(field) EXPECT_EQ(x.field, y.field) << #field << ' ' << who;
+  ST_VM_COUNTERS(EXPECT_COUNTER_EQ)
+#undef EXPECT_COUNTER_EQ
 }
 
 /// Runs the program under both engines and asserts they agree on the

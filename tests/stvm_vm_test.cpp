@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <string>
+
 #include "stvm/programs.hpp"
 
 namespace {
@@ -200,6 +204,31 @@ main:
   Vm vm(programs::compile(src, false), validated(3));
   EXPECT_EQ(vm.run("main"), 3);
   EXPECT_EQ(vm.output(), (std::vector<Word>{0}));
+}
+
+// The counter table drives metrics_json: every ST_VM_COUNTERS row appears
+// in "counters" under its name with the value stats() holds, and nothing
+// else does.
+TEST(CounterTable, VmMetricsJsonCarriesEveryRow) {
+  const auto prog = programs::compile(programs::pfib());
+  Vm vm(prog, validated(4));
+  EXPECT_EQ(vm.run("pmain", {14}), 377);
+  const std::string json = vm.metrics_json();
+  const std::size_t begin = json.find("\"counters\":{"), end = json.find('}', begin);
+  ASSERT_NE(begin, std::string::npos) << json;
+  long rows = 0;
+  auto expect_row = [&](const std::string& key, std::uint64_t want) {
+    ++rows;
+    const std::size_t at = json.find('"' + key + "\":", begin);
+    ASSERT_LT(at, end) << key << " missing from " << json;
+    EXPECT_EQ(std::strtoull(json.c_str() + at + key.size() + 3, nullptr, 10), want) << key;
+  };
+#define EXPECT_ROW(field) expect_row(#field, vm.stats().field);
+  ST_VM_COUNTERS(EXPECT_ROW)
+#undef EXPECT_ROW
+  // One colon per row, plus the "counters" key's own.
+  EXPECT_EQ(std::count(json.begin() + begin, json.begin() + end, ':'), rows + 1) << json;
+  EXPECT_GT(vm.stats().steals_served, 0u);
 }
 
 }  // namespace

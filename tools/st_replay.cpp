@@ -90,17 +90,6 @@ const std::map<std::string, Builtin>& builtins() {
   return b;
 }
 
-bool stats_equal(const stvm::VmStats& x, const stvm::VmStats& y) {
-  return x.instructions == y.instructions && x.suspends == y.suspends &&
-         x.restarts == y.restarts && x.resumes == y.resumes &&
-         x.steals_served == y.steals_served &&
-         x.steals_rejected == y.steals_rejected &&
-         x.frames_unwound == y.frames_unwound &&
-         x.shrink_reclaimed == y.shrink_reclaimed &&
-         x.retired_marks_seen == y.retired_marks_seen &&
-         x.trampolines_taken == y.trampolines_taken;
-}
-
 /// One VM run under whatever sched mode is currently set.  Tracing is
 /// forced on (the digest is computed from the VM's own ring, before the
 /// destructor flushes it to the global sink).
@@ -610,7 +599,7 @@ int cmd_replay(const Args& a) {
       continue;
     }
     if (out.digest != first.digest || out.result != first.result ||
-        !stats_equal(out.stats, first.stats)) {
+        out.stats != first.stats) {
       std::fprintf(stderr,
                    "st_replay: replay %d disagrees with replay 0 "
                    "(digest %016" PRIx64 " vs %016" PRIx64 ")\n",
@@ -839,7 +828,7 @@ int cmd_selftest(const Args& a) {
   for (int r = 0; r < 3; ++r) {
     const RunOutcome out = run_replay(o, log);
     if (out.digest != rec.digest || out.result != rec.result ||
-        !stats_equal(out.stats, rec.stats)) {
+        out.stats != rec.stats) {
       std::fprintf(stderr,
                    "selftest: replay %d diverged from the recorded run "
                    "(digest %016" PRIx64 " vs %016" PRIx64 ")\n",
@@ -863,7 +852,7 @@ int cmd_selftest(const Args& a) {
   const RunOutcome m1 = run_replay(o, mutated);
   const RunOutcome m2 = run_replay(o, mutated);
   if (m1.digest != m2.digest || m1.result != m2.result ||
-      !stats_equal(m1.stats, m2.stats)) {
+      m1.stats != m2.stats) {
     std::fprintf(stderr, "selftest: mutated replay is nondeterministic\n");
     return 1;
   }

@@ -45,18 +45,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.suspends),
               static_cast<unsigned long long>(s.steals_served),
               static_cast<unsigned long long>(s.steal_attempts));
-  // Hierarchical stealing (ST_TOPOLOGY, DESIGN.md section 5.14): how
-  // many successful steals stayed inside the thief's steal domain, and
-  // how many continuations moved per cross-domain batch.
-  if (rt.num_domains() > 1 && s.steals_received > 0) {
-    std::printf("locality: %u domains, %llu local / %llu remote steals "
-                "(%.0f%% local), %llu continuations migrated\n",
-                rt.num_domains(),
-                static_cast<unsigned long long>(s.steals_local),
-                static_cast<unsigned long long>(s.steals_remote),
-                100.0 * static_cast<double>(s.steals_local) /
-                    static_cast<double>(s.steals_received),
-                static_cast<unsigned long long>(s.steal_tasks));
-  }
   return 0;
 }

@@ -342,56 +342,24 @@ void Worker::poll_slow() noexcept {
     StealRequest* r = port_.exchange(nullptr, std::memory_order_acq_rel);
     if (r != nullptr) {
       // Figure 12: hand out the tail of the lazy task queue -- readyq
-      // tail if any, otherwise the outermost parent continuation.  A
-      // cross-domain thief advertises max_batch > 1; it gets up to a
-      // steal-half of the exported tail (never more than half of what we
-      // hold, so local progress is preserved) in one negotiation -- all
-      // published by the single release store of `state` below.
-      const std::size_t avail = readyq_.size() + fork_deque_.size();
-      std::uint32_t want = r->max_batch < 1 ? 1 : r->max_batch;
-      if (want > StealRequest::kMaxBatch) want = StealRequest::kMaxBatch;
-      const std::uint32_t half =
-          static_cast<std::uint32_t>((avail + 1) / 2);
-      if (want > half && half >= 1) want = half;
-      std::uint32_t got = 0;
-      Continuation* first = nullptr;
-      while (got < want) {
-        Continuation* task = nullptr;
-        if (!readyq_.empty()) {
-          task = readyq_.pop_tail();
-          // The stolen readyq tail leaves this worker's queue: close the
-          // resume edge here; the thief's side is the steal flow.
-          trace(stu::kTraceResumeRun, reinterpret_cast<std::uintptr_t>(task));
-        } else if (!fork_deque_.empty()) {
-          task = fork_deque_.pop_tail();
-        }
-        if (task == nullptr) break;
-        if (got == 0) {
-          first = task;
-          r->reply = *task;
-        } else {
-          r->extra[got - 1] = task;
-        }
-        ++got;
+      // tail if any, otherwise the outermost parent continuation.
+      Continuation* task = nullptr;
+      if (!readyq_.empty()) {
+        task = readyq_.pop_tail();
+        // The stolen readyq tail leaves this worker's queue: close the
+        // resume edge here; the thief's side is the steal flow.
+        trace(stu::kTraceResumeRun, reinterpret_cast<std::uintptr_t>(task));
+      } else if (!fork_deque_.empty()) {
+        task = fork_deque_.pop_tail();
       }
-      if (got > 0) {
-        r->extra_n = got - 1;
+      if (task != nullptr) {
+        r->reply = *task;
         ++stats_.steals_served;
         trace(stu::kTraceStealServed, reinterpret_cast<std::uintptr_t>(r),
-              reinterpret_cast<std::uintptr_t>(first));
-        if (got >= 2) {
-          trace(stu::kTraceStealBatch, reinterpret_cast<std::uintptr_t>(r), got);
-        }
+              reinterpret_cast<std::uintptr_t>(task));
         if (stu::sched_recording()) [[unlikely]] {
           stu::sched_record(stu::kSchedServe, static_cast<std::uint16_t>(id_),
                             stu::kTraceSrcRuntime, r->thief, 1, &trace_);
-          if (got >= 2) {
-            // Record-only (v2): the batch size is derived state on replay
-            // (the thief re-runs the same negotiation), but the log entry
-            // lets offline analysis see the handout width.
-            stu::sched_record(stu::kSchedBatch, static_cast<std::uint16_t>(id_),
-                              stu::kTraceSrcRuntime, got, r->thief, &trace_);
-          }
         }
         r->state.store(StealRequest::kServed, std::memory_order_release);
       } else {
@@ -438,8 +406,7 @@ void Worker::fork_poll_slow(Stacklet* s) noexcept {
 }
 
 void Worker::publish_stats() noexcept {
-#define ST_COUNTER_PUBLISH(field, key) \
-  mirror_.field.store(stats_.field, std::memory_order_relaxed);
+#define ST_COUNTER_PUBLISH(field) mirror_.field.store(stats_.field, std::memory_order_relaxed);
   ST_WORKER_COUNTERS(ST_COUNTER_PUBLISH, ST_COUNTER_SKIP)
 #undef ST_COUNTER_PUBLISH
   hb_mirror_.store(hb_, std::memory_order_relaxed);
@@ -471,8 +438,6 @@ bool Worker::try_steal_and_run() {
   Worker* victim = nullptr;
   stu::SchedDecision forced_outcome{};
   bool have_outcome = false;
-  bool local = true;
-  const bool hier = rt_.num_domains() > 1;
   if (stu::sched_replaying()) [[unlikely]] {
     stu::SchedDecision d;
     if (stu::sched_replay_next(stu::kSchedVictim, static_cast<std::uint16_t>(id_),
@@ -484,22 +449,6 @@ bool Worker::try_steal_and_run() {
                                    stu::kTraceSrcRuntime, d.seq, d.a, id_,
                                    "forced victim id invalid");
       }
-      // Consume the paired v2 domain decision (recorded right after each
-      // victim choice when the topology had > 1 domain; ST_TOPOLOGY must
-      // match between record and replay, which keeps the per-kind FIFOs
-      // aligned and the ride-along trace stream bit-exact).
-      if (hier) {
-        stu::SchedDecision dd;
-        if (stu::sched_replay_next(stu::kSchedDomain, static_cast<std::uint16_t>(id_),
-                                   stu::kTraceSrcRuntime, &dd, &trace_) &&
-            victim != nullptr && dd.a != rt_.domain_of(victim->id())) {
-          stu::sched_note_divergence(stu::kSchedDomain,
-                                     static_cast<std::uint16_t>(id_),
-                                     stu::kTraceSrcRuntime, dd.seq, dd.a,
-                                     rt_.domain_of(victim->id()),
-                                     "forced victim in a different domain");
-        }
-      }
       // Consume the paired outcome even when the victim was unusable so
       // later negotiations stay aligned with their own pairs.
       have_outcome = stu::sched_replay_next(stu::kSchedStealResult,
@@ -509,37 +458,18 @@ bool Worker::try_steal_and_run() {
       if (victim == nullptr) return false;
     } else {
       // Log exhausted: free-run.
-      victim = hier ? rt_.choose_victim_hier(rng_, *this, &local)
-                    : rt_.choose_victim(rng_, id_);
+      victim = rt_.choose_victim(rng_, id_);
     }
   } else {
-    victim = hier ? rt_.choose_victim_hier(rng_, *this, &local)
-                  : rt_.choose_victim(rng_, id_);
+    victim = rt_.choose_victim(rng_, id_);
   }
   if (victim == nullptr) return false;
-  // A remote victim from the hierarchical chooser means we hold our
-  // domain's cross-domain probe slot until this negotiation resolves.
-  const bool gate_held = hier && !local;
-  // Locality is derived state (victim id + topology), so a replay-forced
-  // victim classifies identically to the recorded run.
-  const unsigned vdom = rt_.domain_of(victim->id());
-  local = vdom == domain_;
   set_phase(WorkerPhase::kStealing);
   const bool timed = stu::metrics_enabled();
   const std::uint64_t t0 = timed ? stu::trace_clock() : 0;
 
   StealRequest req;
   req.thief = static_cast<std::uint32_t>(id_);
-  // A cross-domain trip amortizes its cost by asking for a batch; local
-  // probes keep the classic single-task ask (work stays fine-grained
-  // within a domain, matching the LTC bias toward shallow migration).
-  if (!local) {
-    const int b = rt_.idle_policy().steal_batch;
-    req.max_batch = b < 1 ? 1
-                    : b > static_cast<int>(StealRequest::kMaxBatch)
-                        ? StealRequest::kMaxBatch
-                        : static_cast<std::uint32_t>(b);
-  }
   StealRequest* expected = nullptr;
   if (!victim->port().compare_exchange_strong(expected, &req, std::memory_order_acq_rel)) {
     if (have_outcome) {
@@ -549,7 +479,6 @@ bool Worker::try_steal_and_run() {
                                  forced_outcome.a, stu::kSchedOutcomeRejected,
                                  "victim port already claimed");
     }
-    if (gate_held) rt_.release_remote_gate(domain_);
     set_phase(WorkerPhase::kIdle);
     return false;  // someone else is already negotiating with this victim
   }
@@ -565,13 +494,6 @@ bool Worker::try_steal_and_run() {
   if (stu::sched_recording()) [[unlikely]] {
     stu::sched_record(stu::kSchedVictim, static_cast<std::uint16_t>(id_),
                       stu::kTraceSrcRuntime, victim->id(), 0, &trace_);
-    if (hier) {
-      // v2 ride-along: which steal domain this probe targeted.  Written
-      // only when the topology is hierarchical so flat runs keep
-      // producing v1-magic logs (back-compat with older readers).
-      stu::sched_record(stu::kSchedDomain, static_cast<std::uint16_t>(id_),
-                        stu::kTraceSrcRuntime, vdom, local ? 1 : 0, &trace_);
-    }
   }
 
   // A recorded "served" waits well past the normal limit for the victim
@@ -613,12 +535,6 @@ bool Worker::try_steal_and_run() {
                                      "negotiation cancelled");
         }
         if (timed) metrics_.steal_cancel_latency.record(stu::trace_clock() - t0);
-        // A cancelled local probe still advances the local-fail streak
-        // (the victim was unresponsive -- keep widening the search); a
-        // cancelled remote one spends the streak, so the next remote
-        // trip must be re-earned with another run of empty local scans.
-        if (local) note_local_fail(); else reset_local_fails();
-        if (gate_held) rt_.release_remote_gate(domain_);
         set_phase(WorkerPhase::kIdle);
         return false;
       }
@@ -628,7 +544,6 @@ bool Worker::try_steal_and_run() {
   }
   // The negotiation resolved (served or rejected): its full post->resolve
   // time is the steal latency.
-  if (gate_held) rt_.release_remote_gate(domain_);
   if (timed) metrics_.steal_latency.record(stu::trace_clock() - t0);
   ++stats_.steal_attempts;
 
@@ -651,38 +566,10 @@ bool Worker::try_steal_and_run() {
   }
   if (!served) {
     ++stats_.steals_rejected;
-    // Adaptive victim steering: a rejection decays this domain's hit EMA
-    // and (when local) advances the streak that eventually unlocks
-    // cross-domain probing.  A remote rejection *spends* the streak
-    // instead -- cross-domain probes are rate-limited to one per
-    // ST_STEAL_LOCAL_RETRIES empty local scans, not free once unlocked.
-    note_domain_outcome(vdom, false);
-    if (local) note_local_fail(); else reset_local_fails();
     set_phase(WorkerPhase::kIdle);
     return false;
   }
   ++stats_.steals_received;
-  if (local) ++stats_.steals_local; else ++stats_.steals_remote;
-  const std::uint32_t batch_n = 1 + req.extra_n;
-  stats_.steal_tasks += batch_n;
-  note_domain_outcome(vdom, true);
-  reset_local_fails();
-  if (stu::metrics_enabled()) metrics_.steal_batch_size.record(batch_n);
-  // Batch extras land on our readyq (owner push): they run after the
-  // reply, and -- now advertised in our published depth -- are stealable
-  // by our local domain, which is exactly the locality transfer the
-  // remote batch was for.
-  for (std::uint32_t k = 0; k < req.extra_n; ++k) {
-    readyq_.push_tail(req.extra[k]);
-    trace(stu::kTraceResume, reinterpret_cast<std::uintptr_t>(req.extra[k]));
-  }
-  if (req.extra_n != 0) {
-    publish_depth();
-    // Wake parked domain peers: the batch is their feed, and if they stay
-    // asleep until the park timeout the other domain's (spinning) thieves
-    // would re-migrate what we just paid a cross-socket trip to bring.
-    rt_.notify_work();
-  }
   heartbeat();
   trace(stu::kTraceStealReceived, reinterpret_cast<std::uintptr_t>(&req), victim->id());
   record_resume_latency(this, &req.reply);
@@ -812,38 +699,20 @@ Runtime::Runtime(RuntimeConfig cfg) {
   stu::metrics_configure_from_env();
   stu::sched_configure_from_env();
   if (cfg.workers == 0) cfg.workers = 1;
-  topo_ = Topology::create(cfg.workers);
-  idle_.park = cfg.park >= 0 ? cfg.park != 0 : stu::env_long("ST_PARK", 1) != 0;
+  idle_.park = stu::env_long("ST_PARK", 1) != 0;
 #if !defined(__linux__)
   idle_.park = false;  // no futex; the backoff tops out at the yield stage
 #endif
   idle_.spin = static_cast<int>(stu::env_long("ST_SPIN", 64));
   idle_.yields = static_cast<int>(stu::env_long("ST_YIELD", 8));
   idle_.park_timeout_us = stu::env_long("ST_PARK_TIMEOUT_US", 2000);
-  idle_.load_victim = stu::env_string("ST_VICTIM", "load") != "random";
   idle_.io_wait_us = stu::env_long("ST_IO_WAIT_US", 2000);
-  idle_.steal_local_retries =
-      static_cast<int>(stu::env_long("ST_STEAL_LOCAL_RETRIES", 4));
-  idle_.steal_batch = static_cast<int>(stu::env_long(
-      "ST_STEAL_BATCH", static_cast<long>(StealRequest::kMaxBatch) / 2));
   published_load_ =
       std::vector<stu::CacheAligned<std::atomic<std::uint32_t>>>(cfg.workers);
-  domain_idle_wakes_ =
-      std::vector<stu::CacheAligned<std::atomic<std::uint64_t>>>(topo_.num_domains);
-  domain_remote_gate_ =
-      std::vector<stu::CacheAligned<std::atomic<std::uint32_t>>>(topo_.num_domains);
-  const bool numa = stu::env_long("ST_NUMA", 1) != 0;
   workers_.reserve(cfg.workers);
   for (unsigned i = 0; i < cfg.workers; ++i) {
     workers_.push_back(std::make_unique<Worker>(*this, i, cfg.stacklet_bytes, cfg.region_slots));
     workers_.back()->set_solo(cfg.workers == 1);
-    workers_.back()->set_domain(topo_.domain_of(i), topo_.num_domains);
-    // First-touch plus an explicit preferred-node hint: the region was
-    // just mapped by this (main) thread, so tell the kernel where its
-    // pages should materialize before the owning worker faults them in.
-    if (numa && topo_.node[i] >= 0) {
-      workers_.back()->region().bind_to_node(topo_.node[i]);
-    }
   }
   // Observability wiring before the workers start: crash/stall dumps must
   // be able to reach the rings and this runtime from the first event on.
@@ -867,10 +736,7 @@ Runtime::Runtime(RuntimeConfig cfg) {
   }
   threads_.reserve(cfg.workers);
   for (unsigned i = 0; i < cfg.workers; ++i) {
-    threads_.emplace_back([this, i] {
-      topo_.pin_thread(i);  // no-op unless ST_PIN=1 resolved a cpu for i
-      workers_[i]->scheduler_loop();
-    });
+    threads_.emplace_back([this, i] { workers_[i]->scheduler_loop(); });
   }
 }
 
@@ -900,8 +766,7 @@ Runtime::~Runtime() {
     stats().for_each([&](const char* key, std::uint64_t v) {
       line += std::string(" ") + key + "=" + std::to_string(v);
     });
-    std::fprintf(stderr, "[st-stats runtime workers=%u domains=%u]%s\n", num_workers(),
-                 num_domains(), line.c_str());
+    std::fprintf(stderr, "[st-stats runtime workers=%u]%s\n", num_workers(), line.c_str());
     if (stu::metrics_enabled()) {
       // ST_STATS grows latency percentile tables when metrics were on.
       for_each_histogram(workers_, [](const char* name, const char* unit, double scale,
@@ -955,128 +820,29 @@ bool Runtime::pop_injected(std::function<void()>& out) {
   return true;
 }
 
-Worker* Runtime::random_victim(stu::Xoshiro256& rng, unsigned self) {
-  const unsigned n = num_workers();
-  if (n <= 1) return nullptr;
-  unsigned pick = static_cast<unsigned>(rng.below(n - 1));
-  if (pick >= self) ++pick;
-  return workers_[pick].get();
-}
-
 Worker* Runtime::choose_victim(stu::Xoshiro256& rng, unsigned self) {
   const unsigned n = num_workers();
   if (n <= 1) return nullptr;
-  if (idle_.load_victim) {
-    // Steer by the published depth array -- the runtime analogue of
-    // steering by the Section 5 exported set.  Rotating start so equal
-    // loads spread thieves instead of dogpiling worker 0.
-    const unsigned start = static_cast<unsigned>(rng.below(n));
-    std::uint32_t best_load = 0;
-    Worker* best = nullptr;
-    for (unsigned k = 0; k < n; ++k) {
-      unsigned i = start + k;
-      if (i >= n) i -= n;
-      if (i == self) continue;
-      const std::uint32_t load = published_load(i);
-      if (load > best_load) {
-        best_load = load;
-        best = workers_[i].get();
-      }
-    }
-    // All-zero: nothing is advertised as stealable.  Publication is
-    // transition-exact (empty->nonempty always publishes), so don't
-    // probe blindly -- let the idle backoff take over.
-    return best;
-  }
-  // ST_VICTIM=random: the pre-depth-array behaviour, minus parked
-  // victims (a parked worker's port would only time out the negotiation).
-  for (int tries = 0; tries < 2; ++tries) {
-    Worker* v = random_victim(rng, self);
-    if (v != nullptr && !v->parked()) return v;
-  }
-  return random_victim(rng, self);
-}
-
-Worker* Runtime::choose_victim_hier(stu::Xoshiro256& rng, Worker& self,
-                                    bool* local) {
-  const unsigned n = num_workers();
-  if (n <= 1) return nullptr;
-  const unsigned my_dom = self.domain();
-  // Deepest advertised load within one domain, rotating start (same
-  // tie-breaking discipline as the flat chooser so equal loads spread
-  // thieves instead of dogpiling the first member).
-  const auto deepest_in = [&](unsigned d) -> Worker* {
-    const std::vector<unsigned>& members = topo_.members[d];
-    const unsigned m = static_cast<unsigned>(members.size());
-    if (m == 0) return nullptr;
-    const unsigned start = static_cast<unsigned>(rng.below(m));
-    std::uint32_t best_load = 0;
-    Worker* best = nullptr;
-    for (unsigned k = 0; k < m; ++k) {
-      unsigned idx = start + k;
-      if (idx >= m) idx -= m;
-      const unsigned i = members[idx];
-      if (i == self.id()) continue;
-      const std::uint32_t load = published_load(i);
-      if (load > best_load) {
-        best_load = load;
-        best = workers_[i].get();
-      }
-    }
-    return best;
-  };
-  // Pass 1: the thief's own domain.  Cache/NUMA-local steals are the
-  // cheap ones; the hierarchy exists to keep migrations here.
-  if (Worker* v = deepest_in(my_dom)) {
-    *local = true;
-    return v;
-  }
-  // Nothing advertised locally.  Stay in-domain until the consecutive
-  // local-failure streak crosses the retry budget -- an empty scan counts
-  // toward it, so a starved domain unlocks remote probing even when no
-  // negotiation ever got far enough to be rejected.
-  const unsigned retries = idle_.steal_local_retries < 0
-                               ? 0
-                               : static_cast<unsigned>(idle_.steal_local_retries);
-  if (self.local_fail_streak() < retries) {
-    self.note_local_fail();
-    return nullptr;  // let the idle backoff pace the next local look
-  }
-  // Pass 2: rank the other domains by total advertised load weighted by
-  // this thief's per-domain hit EMA (0.5 floor keeps untried domains
-  // viable; a proven domain scores up to 3x an unknown one).
-  float best_score = 0.0f;
-  unsigned best_dom = topo_.num_domains;
-  for (unsigned d = 0; d < topo_.num_domains; ++d) {
-    if (d == my_dom) continue;
-    std::uint64_t load = 0;
-    for (unsigned i : topo_.members[d]) load += published_load(i);
-    // A cross-socket trip must be worth a batch: a domain advertising a
-    // single task keeps it -- its own thieves (or the owner) will finish
-    // it cheaper than we can migrate it.
-    if (load < 2) continue;
-    const float score =
-        static_cast<float>(load) * (0.5f + self.domain_ema(d));
-    if (score > best_score) {
-      best_score = score;
-      best_dom = d;
+  // Steer by the published depth array -- the runtime analogue of
+  // steering by the Section 5 exported set.  Rotating start so equal
+  // loads spread thieves instead of dogpiling worker 0.
+  const unsigned start = static_cast<unsigned>(rng.below(n));
+  std::uint32_t best_load = 0;
+  Worker* best = nullptr;
+  for (unsigned k = 0; k < n; ++k) {
+    unsigned i = start + k;
+    if (i >= n) i -= n;
+    if (i == self) continue;
+    const std::uint32_t load = published_load(i);
+    if (load > best_load) {
+      best_load = load;
+      best = workers_[i].get();
     }
   }
-  if (best_dom == topo_.num_domains) return nullptr;  // cluster-wide quiet
-  // One representative per domain: a second would-be remote thief keeps
-  // scanning locally and is fed by the representative's batch instead of
-  // paying its own cross-socket trip.
-  std::uint32_t idle_slot = 0;
-  if (!domain_remote_gate_[my_dom].value.compare_exchange_strong(
-          idle_slot, 1, std::memory_order_acq_rel)) {
-    return nullptr;
-  }
-  if (Worker* v = deepest_in(best_dom)) {
-    *local = false;  // caller owns the gate until the negotiation resolves
-    return v;
-  }
-  release_remote_gate(my_dom);
-  return nullptr;
+  // All-zero: nothing is advertised as stealable.  Publication is
+  // transition-exact (empty->nonempty always publishes), so don't
+  // probe blindly -- let the idle backoff take over.
+  return best;
 }
 
 void Runtime::notify_work() noexcept {
@@ -1140,13 +906,9 @@ void Runtime::park_worker(Worker& self) {
                         stu::kTraceSrcRuntime, epoch, 0, &self.trace_ring());
     }
     futex_wait(work_epoch_, epoch, idle_.park_timeout_us);
-    // Figure-22 scale-out signal: which socket's idle pool got pulled
-    // back in.  Bumped by the waking worker itself (one RMW per park
-    // episode, never on the fast path).
-    const unsigned d = self.domain();
-    if (d < domain_idle_wakes_.size()) {
-      domain_idle_wakes_[d].value.fetch_add(1, std::memory_order_relaxed);
-    }
+    // Bumped by the waking worker itself (one RMW per park episode,
+    // never on the fast path).
+    idle_wakes_.fetch_add(1, std::memory_order_relaxed);
     if (stu::sched_recording()) [[unlikely]] {
       stu::sched_record(stu::kSchedUnpark, static_cast<std::uint16_t>(self.id()),
                         stu::kTraceSrcRuntime,
@@ -1233,7 +995,7 @@ RuntimeStats Runtime::stats() const {
   for (const auto& w : workers_) {
     const WorkerStatsMirror& m = w->stats_mirror();
     const StackRegion& r = w->region();
-#define ST_COUNTER_ADD(field, key) out.field += m.field.load(std::memory_order_relaxed);
+#define ST_COUNTER_ADD(field) out.field += m.field.load(std::memory_order_relaxed);
 #define ST_COUNTER_ADD_REGION(field, getter) out.field += r.getter();
     ST_WORKER_COUNTERS(ST_COUNTER_ADD, ST_COUNTER_ADD_REGION)
 #undef ST_COUNTER_ADD
@@ -1246,23 +1008,14 @@ std::string Runtime::metrics_json() const {
   const char* phase_names[] = {"idle", "working", "stealing"};
   const RuntimeStats agg = stats();
   std::ostringstream os;
-  os << "{\"kind\":\"runtime\",\"workers\":" << workers_.size() << ","
-     << "\"counters\":{";
+  os << "{\"kind\":\"runtime\",\"workers\":" << workers_.size()
+     << ",\"idle_wakes\":" << idle_wakes() << ",\"counters\":{";
   const char* sep = "";
   agg.for_each([&](const char* key, std::uint64_t v) {
     os << sep << '"' << key << "\":" << v;
     sep = ",";
   });
   os << "},";
-  // Steal-domain hierarchy (ST_TOPOLOGY): per-domain membership and the
-  // idle-wake counter -- the "did work reach the remote socket" signal.
-  os << "\"domains\":[";
-  for (unsigned d = 0; d < topo_.num_domains; ++d) {
-    os << (d ? "," : "") << "{\"id\":" << d
-       << ",\"workers\":" << topo_.members[d].size()
-       << ",\"idle_wakes\":" << domain_idle_wakes(d) << "}";
-  }
-  os << "],";
   os << "\"per_worker\":[";
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     Worker& w = *workers_[i];
@@ -1272,7 +1025,6 @@ std::string Runtime::metrics_json() const {
     // extent (the bump pointer itself).  O(1) incremental counters.
     const std::size_t top = r.top();
     os << (i ? "," : "") << "{\"id\":" << w.id()
-       << ",\"domain\":" << w.domain()
        << ",\"phase\":\"" << (static_cast<unsigned>(w.phase()) < 3
                                   ? phase_names[static_cast<unsigned>(w.phase())]
                                   : "?")

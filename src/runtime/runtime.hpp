@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "runtime/context.hpp"
-#include "runtime/topology.hpp"
 #include "runtime/worker.hpp"
 #include "util/spinlock.hpp"
 
@@ -69,26 +68,18 @@ struct RuntimeConfig {
   long stall_ms = -1;
   /// Periodic metrics-snapshot cadence in ms; -1 = ST_METRICS_PERIOD_MS.
   long metrics_period_ms = -1;
-  /// Futex parking of idle workers: 1 = on, 0 = off, -1 = ST_PARK from
-  /// the environment (default on; forced off on non-Linux hosts).
-  int park = -1;
 };
 
-/// Idle-path tuning (staged backoff + victim policy), resolved once at
-/// Runtime construction from the environment (docs/OBSERVABILITY.md).
+/// Idle-path tuning (staged backoff), resolved once at Runtime
+/// construction from the environment (docs/OBSERVABILITY.md).
 struct IdlePolicy {
-  bool park = true;          ///< ST_PARK: futex-park after the backoff stages
+  /// ST_PARK: futex-park after the backoff stages (default on; forced
+  /// off on non-Linux hosts).
+  bool park = true;
   int spin = 64;             ///< ST_SPIN: pause-spin iterations (stage 1)
   int yields = 8;            ///< ST_YIELD: sched yields (stage 2)
   long park_timeout_us = 2000;  ///< ST_PARK_TIMEOUT_US: belt-and-braces wake
-  bool load_victim = true;   ///< ST_VICTIM=load|random
   long io_wait_us = 2000;    ///< ST_IO_WAIT_US: stage-3 epoll_wait timeout
-  /// ST_STEAL_LOCAL_RETRIES: failed local-domain probes before a thief
-  /// may cross domains (hierarchical stealing; irrelevant on one domain).
-  int steal_local_retries = 4;
-  /// ST_STEAL_BATCH: max continuations a cross-domain steal carries home
-  /// (clamped to StealRequest::kMaxBatch; 1 restores single-task steals).
-  int steal_batch = 4;
 };
 
 /// Aggregated counters over all workers: every ST_WORKER_COUNTERS row.
@@ -99,11 +90,9 @@ struct RuntimeStats {
   /// metrics_json's "counters" object and of the ST_STATS line).
   template <class F>
   void for_each(F&& f) const {
-#define ST_COUNTER_VISIT(field, key) f(#key, field);
-#define ST_COUNTER_VISIT_REGION(field, getter) f(#field, field);
-    ST_WORKER_COUNTERS(ST_COUNTER_VISIT, ST_COUNTER_VISIT_REGION)
+#define ST_COUNTER_VISIT(field, ...) f(#field, field);
+    ST_WORKER_COUNTERS(ST_COUNTER_VISIT, ST_COUNTER_VISIT)
 #undef ST_COUNTER_VISIT
-#undef ST_COUNTER_VISIT_REGION
   }
 };
 
@@ -148,48 +137,22 @@ class Runtime {
     return parked_.load(std::memory_order_acquire);
   }
 
-  /// Worker placement: steal domains, CPUs, NUMA nodes (ST_TOPOLOGY /
-  /// ST_PIN; resolved once in the ctor before workers are created).
-  const Topology& topology() const noexcept { return topo_; }
-  unsigned num_domains() const noexcept { return topo_.num_domains; }
-  unsigned domain_of(unsigned worker) const noexcept {
-    return topo_.domain_of(worker);
+  /// Futex-park wakeups: idle workers pulled back in by new work.
+  std::uint64_t idle_wakes() const noexcept {
+    return idle_wakes_.load(std::memory_order_relaxed);
   }
-  /// Per-domain count of futex-park wakeups (idle workers pulled back in;
-  /// the "did work reach the remote socket" signal of Figure 22).
-  std::uint64_t domain_idle_wakes(unsigned d) const noexcept {
-    return d < domain_idle_wakes_.size()
-               ? domain_idle_wakes_[d].value.load(std::memory_order_relaxed)
-               : 0;
-  }
+  /// Compatibility shim for perfbench/runtime_probe.hpp, its only reader.
+  unsigned num_domains() const noexcept { return 1; }
+  /// Compatibility shim for perfbench/runtime_probe.hpp, its only reader.
+  std::uint64_t domain_idle_wakes(unsigned) const noexcept { return idle_wakes(); }
 
   // -- internal (used by workers / the monitor) --------------------------
   bool pop_injected(std::function<void()>& out);
-  Worker* random_victim(stu::Xoshiro256& rng, unsigned self);
 
-  /// Victim selection for the idle path: under ST_VICTIM=load (default),
-  /// scan the published-depth array for the most loaded worker (rotating
-  /// start breaks ties fairly); fall back to random among unparked
-  /// workers.  Returns nullptr when nothing looks stealable.  With more
-  /// than one steal domain this is the flat fallback; thieves go through
-  /// choose_victim_hier instead.
+  /// Victim selection for the idle path: scan the published-depth array
+  /// for the most loaded worker (rotating start breaks ties fairly).
+  /// Returns nullptr when nothing looks stealable.
   Worker* choose_victim(stu::Xoshiro256& rng, unsigned self);
-
-  /// Hierarchical victim selection (>= 2 domains): scan the thief's own
-  /// domain's published loads first; only after the thief's local-fail
-  /// streak crosses ST_STEAL_LOCAL_RETRIES consider other domains,
-  /// ranked by advertised load weighted by the thief's per-domain
-  /// steal-hit EMA.  `*local` reports which side chose; the caller sizes
-  /// the request batch accordingly.
-  Worker* choose_victim_hier(stu::Xoshiro256& rng, Worker& self, bool* local);
-
-  /// Release the calling thief's domain's cross-domain probe slot (taken
-  /// by choose_victim_hier when it returned a remote victim).
-  void release_remote_gate(unsigned d) noexcept {
-    if (d < domain_remote_gate_.size()) {
-      domain_remote_gate_[d].value.store(0, std::memory_order_release);
-    }
-  }
 
   /// Publication side of the depth array (called by workers from their
   /// slow path and by the park/idle transitions).
@@ -228,7 +191,6 @@ class Runtime {
  private:
   void inject(std::function<void()> fn);
 
-  Topology topo_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
   std::atomic<bool> done_{false};
@@ -248,14 +210,7 @@ class Runtime {
   alignas(stu::kCacheLine) std::atomic<std::uint32_t> work_epoch_{0};
   std::atomic<unsigned> parked_{0};
   std::atomic<unsigned> io_blocked_{0};
-  /// Futex-park wakeups per steal domain (bumped by the waking worker).
-  std::vector<stu::CacheAligned<std::atomic<std::uint64_t>>> domain_idle_wakes_;
-  /// One cross-domain probe per domain at a time: choose_victim_hier
-  /// CASes its thief's domain slot before returning a remote victim and
-  /// try_steal_and_run releases it when that negotiation resolves.  The
-  /// rest of the domain keeps scanning locally -- a remote batch lands
-  /// on the representative's readyq and feeds them through local steals.
-  std::vector<stu::CacheAligned<std::atomic<std::uint32_t>>> domain_remote_gate_;
+  std::atomic<std::uint64_t> idle_wakes_{0};  ///< bumped by the waking worker
 };
 
 // ---------------------------------------------------------------------

@@ -3,10 +3,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <sys/syscall.h>
-#endif
-
 #include <cassert>
 #include <cstdlib>
 #include <new>
@@ -33,28 +29,6 @@ StackRegion::StackRegion(std::size_t slot_bytes, std::size_t slots, long trim_sl
 
 StackRegion::~StackRegion() {
   if (base_ != nullptr) ::munmap(base_, slot_bytes_ * slots_);
-}
-
-bool StackRegion::bind_to_node(int node) noexcept {
-#if defined(__linux__) && defined(SYS_mbind)
-  if (node < 0 || base_ == nullptr) return false;
-  // Raw syscall rather than libnuma (not a baked-in dependency).  The
-  // nodemask is a plain bitmap of node ids; MPOL_PREFERRED (1) degrades
-  // gracefully when the node is full, unlike MPOL_BIND.
-  constexpr int kMpolPreferred = 1;
-  constexpr unsigned kMaxNodes = 1024;
-  if (static_cast<unsigned>(node) >= kMaxNodes) return false;
-  unsigned long mask[kMaxNodes / (8 * sizeof(unsigned long))] = {};
-  mask[static_cast<unsigned>(node) / (8 * sizeof(unsigned long))] |=
-      1UL << (static_cast<unsigned>(node) % (8 * sizeof(unsigned long)));
-  const long rc =
-      ::syscall(SYS_mbind, base_, slot_bytes_ * slots_, kMpolPreferred, mask,
-                static_cast<unsigned long>(kMaxNodes), 0UL);
-  return rc == 0;
-#else
-  (void)node;
-  return false;
-#endif
 }
 
 Stacklet* StackRegion::header_of(std::size_t slot) noexcept {

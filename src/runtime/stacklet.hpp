@@ -123,15 +123,6 @@ class StackRegion {
   /// threshold.  Returns the number of slots reclaimed.
   std::size_t reclaim_top() noexcept;
 
-  /// NUMA hint (ST_NUMA): set MPOL_PREFERRED to `node` on the whole
-  /// arena.  Called once, before the owning worker touches any page, so
-  /// stacklets materialize on the owner's memory node even when the main
-  /// thread (which mmap'd the arena) lives elsewhere.  Pages already
-  /// faulted are left where they are; failure (no NUMA, no permission,
-  /// non-Linux) is silent -- first-touch from a pinned worker gives the
-  /// same placement as a fallback.  Returns true if the kernel took it.
-  bool bind_to_node(int node) noexcept;
-
   // -- observability (benchmarks / tests / monitor) ----------------------
   // Counter discipline, chosen for the fork fast path: every owner-side
   // counter (bump allocs, local pops, scavenges, reclaims, trims) has

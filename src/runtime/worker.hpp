@@ -68,32 +68,15 @@ struct Continuation {
 #endif
 };
 
-/// One in-flight steal negotiation.  Owned by the thief (stack-allocated
-/// in its steal loop); the victim holds a pointer only between claiming
-/// the port and storing the final state.
-///
-/// Extended Figure-10 negotiation (hierarchical stealing): the thief
-/// advertises how many continuations it is willing to carry home
-/// (`max_batch`; 1 for local-domain probes, ST_STEAL_BATCH for
-/// cross-domain ones, so a remote trip amortizes its cost).  The victim
-/// answers with up to steal-half of its exported tail: the first task in
-/// `reply` (run immediately by the thief), the rest as *pointers* in
-/// `extra[0..extra_n)` -- the pointed-to Continuations live in suspended
-/// frames, stable until resumed, and the thief re-queues the pointers on
-/// its own readyq.  Everything is published by the single release store
-/// of `state` -- the protocol's memory-ordering argument is unchanged,
-/// the reply payload just grew.
+/// One in-flight steal negotiation (Figure 10).  Owned by the thief
+/// (stack-allocated in its steal loop); the victim holds a pointer only
+/// between claiming the port and storing the final state, whose release
+/// store publishes `reply`.
 struct StealRequest {
   enum State : std::uint32_t { kPosted = 0, kServed = 1, kRejected = 2 };
-  /// Upper bound on one negotiation's transfer (reply + extras); keeps
-  /// the request stack-allocatable and bounds victim time at a poll point.
-  static constexpr std::uint32_t kMaxBatch = 8;
   std::atomic<std::uint32_t> state{kPosted};
   std::uint32_t thief = 0;  ///< requesting worker id (schedule log payload)
-  std::uint32_t max_batch = 1;  ///< thief's ask (1 = classic single-task steal)
-  std::uint32_t extra_n = 0;    ///< victim: continuations in extra[], <= kMaxBatch-1
   Continuation reply;
-  Continuation* extra[kMaxBatch - 1] = {};
 };
 
 /// Runtime-side view of a per-worker I/O reactor (implemented in src/io,
@@ -117,38 +100,35 @@ class IoPoller {
 /// The runtime's counter table, in RuntimeStats field order.  Every
 /// counter struct, copy, aggregate and renderer is generated from it, so
 /// a new counter costs one row plus its increment.  Two kinds of row:
-///   X(field, key)     a per-worker WorkerStats field, bumped by the owner;
+///   X(field)          a per-worker WorkerStats field, bumped by the owner;
 ///   R(field, getter)  read from each worker's StackRegion by stats().
-/// `key` names the counter in metrics_json and the ST_STATS line (an R
-/// row's key is its field name).  Row comments must be block comments:
-/// a line comment would swallow the continuation.
-#define ST_WORKER_COUNTERS(X, R)                                            \
-  X(forks, forks)                                                           \
-  X(suspends, suspends)                                                     \
-  X(resumes, resumes)                                                       \
-  X(steals_served, steals_served)                                           \
-  X(steals_received, steals_received)                                       \
-  X(steal_attempts, steal_attempts)                                         \
-  X(steals_rejected, steals_rejected)                                       \
-  X(steals_cancelled, steals_cancelled)                                     \
-  X(steals_local, steal_local)   /* received, victim in this domain */      \
-  X(steals_remote, steal_remote) /* received, victim in another domain */   \
-  X(steal_tasks, steal_tasks)    /* continuations received incl. extras */  \
-  X(tasks_completed, tasks_completed)                                       \
-  R(region_high_water, high_water)                                          \
-  R(heap_fallbacks, heap_fallbacks)                                         \
-  R(region_scavenges, scavenges)                                            \
-  R(region_trims, trims)                                                    \
-  X(io_wakeups, io_wakeups)       /* epoll_wait returns with >= 1 event */  \
-  X(io_events, io_events)         /* waiters resumed by readiness/expiry */ \
-  X(io_timers, io_timers)         /* sleep_for expiries delivered */        \
-  X(io_migrations, io_migrations) /* fd interest re-homed after a steal */  \
-  X(io_cancels, io_cancels)       /* waiters cancelled by close() */
+/// `field` is also the counter's key in metrics_json and the ST_STATS
+/// line.  Row comments must be block comments: a line comment would
+/// swallow the continuation.
+#define ST_WORKER_COUNTERS(X, R)                                  \
+  X(forks)                                                        \
+  X(suspends)                                                     \
+  X(resumes)                                                      \
+  X(steals_served)                                                \
+  X(steals_received)                                              \
+  X(steal_attempts)                                               \
+  X(steals_rejected)                                              \
+  X(steals_cancelled)                                             \
+  X(tasks_completed)                                              \
+  R(region_high_water, high_water)                                \
+  R(heap_fallbacks, heap_fallbacks)                               \
+  R(region_scavenges, scavenges)                                  \
+  R(region_trims, trims)                                          \
+  X(io_wakeups)    /* epoll_wait returns with >= 1 event */       \
+  X(io_events)     /* waiters resumed by readiness/expiry */      \
+  X(io_timers)     /* sleep_for expiries delivered */             \
+  X(io_migrations) /* fd interest re-homed after a steal */       \
+  X(io_cancels)    /* waiters cancelled by close() */
 
-/// Row expanders shared by WorkerStats and RuntimeStats: a plain counter
-/// field, or nothing (for the rows a struct does not hold).
-#define ST_COUNTER_FIELD(field, arg) std::uint64_t field = 0;
-#define ST_COUNTER_SKIP(field, arg)
+/// Row expanders shared by both kinds of row: a plain counter field, or
+/// nothing (for the rows a struct does not hold).
+#define ST_COUNTER_FIELD(field, ...) std::uint64_t field = 0;
+#define ST_COUNTER_SKIP(...)
 
 /// Per-worker counters (the X rows).  Plain fields: written only by the
 /// owning worker thread, read by nobody else.  The owner copies them into
@@ -160,7 +140,7 @@ struct WorkerStats {
 
 /// Racy-reader copy of WorkerStats (relaxed atomics, single publisher).
 struct WorkerStatsMirror {
-#define ST_COUNTER_ATOMIC(field, arg) std::atomic<std::uint64_t> field{0};
+#define ST_COUNTER_ATOMIC(field) std::atomic<std::uint64_t> field{0};
   ST_WORKER_COUNTERS(ST_COUNTER_ATOMIC, ST_COUNTER_SKIP)
 #undef ST_COUNTER_ATOMIC
 };
@@ -224,7 +204,6 @@ class CellCache {
   X(steal_cancel_latency, ns)   /* post -> withdrawn */                    \
   X(suspend_to_restart, ns)     /* suspend() -> dispatch */                \
   X(fork_deque_depth, tasks)    /* fork-deque depth, decimated sample */   \
-  X(steal_batch_size, tasks)    /* continuations per served steal */       \
   X(io_wait, ns)                /* fd-suspend arm -> readiness */          \
   X(io_ready_batch, events)     /* events per epoll_wait return */
 
@@ -339,36 +318,6 @@ class alignas(stu::kCacheLine) Worker {
   unsigned id() const noexcept { return id_; }
   Runtime& runtime() noexcept { return rt_; }
 
-  /// Steal domain (runtime/topology.hpp), fixed by the Runtime ctor
-  /// before any worker thread starts.
-  unsigned domain() const noexcept { return domain_; }
-  void set_domain(unsigned d, unsigned num_domains) {
-    domain_ = d;
-    domain_ema_.assign(num_domains, 0.0f);
-  }
-
-  /// Thief-side adaptive victim memory: per-domain EMA of recent steal
-  /// hits, bumped on a served steal from that domain and decayed on a
-  /// rejection.  Owner-only writes from the steal loop; the accessor's
-  /// racy read (tests, metrics) observes a torn-free float.
-  static constexpr float kStealEmaDecay = 0.75f;
-  static float steal_ema_next(float prev, bool hit) noexcept {
-    return kStealEmaDecay * prev + (hit ? 1.0f - kStealEmaDecay : 0.0f);
-  }
-  float domain_ema(unsigned d) const noexcept {
-    return d < domain_ema_.size() ? domain_ema_[d] : 0.0f;
-  }
-  void note_domain_outcome(unsigned d, bool hit) noexcept {
-    if (d < domain_ema_.size()) domain_ema_[d] = steal_ema_next(domain_ema_[d], hit);
-  }
-
-  /// Consecutive failed local-domain probes; crossing
-  /// ST_STEAL_LOCAL_RETRIES unlocks cross-domain victims (reset by any
-  /// served steal).  Owner-only.
-  unsigned local_fail_streak() const noexcept { return local_fails_; }
-  void note_local_fail() noexcept { ++local_fails_; }
-  void reset_local_fails() noexcept { local_fails_ = 0; }
-
   /// Liveness signal for the monitor: bumped at every scheduling event
   /// (fork, suspend, resume, poll, steal, scheduler-loop iteration).
   /// Plain single-writer field; the monitor reads the mirror, which the
@@ -441,11 +390,8 @@ class alignas(stu::kCacheLine) Worker {
 
   Runtime& rt_;
   unsigned id_;
-  unsigned domain_ = 0;
   // Owner-hot plain state first (one writer, no readers elsewhere).
   std::uint64_t hb_ = 0;
-  unsigned local_fails_ = 0;       // consecutive failed local-domain probes
-  std::vector<float> domain_ema_;  // per-domain steal-hit EMA (thief side)
   int depth_countdown_ = 1;  // publish on the first fork, then decimated
   bool solo_ = false;        // single-worker runtime: no thieves
   stu::OwnerDeque<Continuation*> fork_deque_;

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "stvm/verify.hpp"
-#include "util/domain_spec.hpp"
 #include "util/env.hpp"
 #include "util/sched_log.hpp"
 #include "util/trace_export.hpp"
@@ -39,21 +38,6 @@ Vm::Vm(const PostprocResult& program, VmConfig cfg)
   metrics_provider_ =
       stu::MetricsRegistry::instance().add_provider([this] { return metrics_json(); });
   if (cfg_.workers == 0) cfg_.workers = 1;
-  // Steal domains (model twin of runtime/topology.hpp).  Only explicit
-  // ST_TOPOLOGY specs take effect -- `auto`/flat leave one domain and
-  // victim selection bit-identical to the pre-hierarchy VM.
-  domain_of_.assign(cfg_.workers, 0);
-  {
-    const stu::DomainSpec spec = stu::domain_spec_from_env();
-    if (spec.explicit_domains()) {
-      for (unsigned v = 0; v < cfg_.workers; ++v) {
-        domain_of_[v] = static_cast<std::uint16_t>(spec.domain_of(v));
-      }
-      num_domains_ = spec.domains(cfg_.workers);
-    }
-  }
-  steal_local_retries_ = static_cast<unsigned>(
-      std::max(0L, stu::env_long("ST_STEAL_LOCAL_RETRIES", 4)));
   // Opt-in load-time gate: with ST_VERIFY=1 every module is statically
   // verified before it can run (see stvm/verify.hpp; docs/VERIFIER.md).
   if (verify_enabled()) verify_or_throw(program);
@@ -391,8 +375,8 @@ void Vm::idle_step(unsigned w) {
   }
   if (cfg_.workers <= 1) return;
   if (W.awaiting_victim < 0) {
-    // Load-aware victim selection (the model twin of the native
-    // runtime's ST_VICTIM=load): probe the worker advertising the
+    // Load-aware victim selection (the model twin of
+    // Runtime::choose_victim): probe the worker advertising the
     // deepest readyq.  When every queue is empty, fall back to the
     // blind random probe -- a running victim with an empty readyq can
     // still hand over work via the Figure 9 logical-stack migration.
@@ -429,64 +413,24 @@ void Vm::idle_step(unsigned w) {
                                      "forced victim not probeable");
           victim = -1;
         }
-        // The recording side logs a kSchedDomain right after every
-        // successful victim decision when the topology is hierarchical:
-        // consume it symmetrically (ST_TOPOLOGY identical between record
-        // and replay keeps the FIFOs and the ride-along stream aligned).
-        if (d.a != stu::kSchedNoVictim && num_domains_ > 1) {
-          stu::SchedDecision dd;
-          if (stu::sched_replay_next(stu::kSchedDomain,
-                                     static_cast<std::uint16_t>(w),
-                                     stu::kTraceSrcStvm, &dd, &trace_) &&
-              victim >= 0 &&
-              dd.a != domain_of_[static_cast<unsigned>(victim)]) {
-            stu::sched_note_divergence(
-                stu::kSchedDomain, static_cast<std::uint16_t>(w),
-                stu::kTraceSrcStvm, dd.seq, dd.a,
-                domain_of_[static_cast<unsigned>(victim)],
-                "forced victim in a different domain");
-          }
-        }
       }
     }
     if (!forced) {
-      // Hierarchical pass (model twin of choose_victim_hier): deepest
-      // readyq within this worker's domain first; other domains open up
-      // only once the consecutive local-failure streak crosses
-      // ST_STEAL_LOCAL_RETRIES.  Flat topology degenerates to the single
-      // global scan, bit-identical to the pre-hierarchy VM.
-      const bool remote_ok =
-          num_domains_ <= 1 || W.local_fails >= steal_local_retries_;
       std::size_t best_depth = 0;
       for (unsigned v = 0; v < cfg_.workers; ++v) {
         if (v == w || workers_[v].halted || workers_[v].steal_request_from >= 0) continue;
-        if (num_domains_ > 1 && domain_of_[v] != domain_of_[w]) continue;
         const std::size_t depth = workers_[v].readyq.size();
         if (depth > best_depth) {
           best_depth = depth;
           victim = static_cast<int>(v);
         }
       }
-      if (victim < 0 && remote_ok && num_domains_ > 1) {
-        for (unsigned v = 0; v < cfg_.workers; ++v) {
-          if (v == w || workers_[v].halted || workers_[v].steal_request_from >= 0) continue;
-          if (domain_of_[v] == domain_of_[w]) continue;
-          const std::size_t depth = workers_[v].readyq.size();
-          if (depth > best_depth) {
-            best_depth = depth;
-            victim = static_cast<int>(v);
-          }
-        }
-      }
       if (victim < 0) {
-        // Blind migration probe.  The draw always happens so the rng
-        // stream stays aligned with flat runs; under a locked hierarchy
-        // a cross-domain draw is discarded (probe skipped this round).
+        // Blind migration probe.
         unsigned r = static_cast<unsigned>(rng_.below(cfg_.workers - 1));
         used_rng = true;
         if (r >= w) ++r;
-        if (workers_[r].steal_request_from < 0 && !workers_[r].halted &&
-            (remote_ok || domain_of_[r] == domain_of_[w])) {
+        if (workers_[r].steal_request_from < 0 && !workers_[r].halted) {
           victim = static_cast<int>(r);
         }
       }
@@ -500,17 +444,6 @@ void Vm::idle_step(unsigned w) {
                         victim >= 0 ? static_cast<std::uint64_t>(victim)
                                     : stu::kSchedNoVictim,
                         used_rng ? 1 : 0, &trace_);
-      if (victim >= 0 && num_domains_ > 1) {
-        const std::uint16_t vd = domain_of_[static_cast<unsigned>(victim)];
-        stu::sched_record(stu::kSchedDomain, static_cast<std::uint16_t>(w),
-                          stu::kTraceSrcStvm, vd,
-                          vd == domain_of_[w] ? 1 : 0, &trace_);
-      }
-    }
-    if (victim < 0) {
-      // Count the empty scan toward the streak so a starved domain
-      // eventually unlocks cross-domain probing (mirrors the runtime).
-      if (W.local_fails < std::numeric_limits<unsigned>::max()) ++W.local_fails;
     }
     if (victim >= 0) {
       workers_[static_cast<std::size_t>(victim)].steal_request_from = static_cast<int>(w);
@@ -519,22 +452,9 @@ void Vm::idle_step(unsigned w) {
     }
   } else if (W.steal_reply != kNoReply) {
     const Addr reply = W.steal_reply;
-    const int from = W.awaiting_victim;
     W.steal_reply = kNoReply;
     W.awaiting_victim = -1;
-    if (reply != kRejected) {
-      W.local_fails = 0;  // fed: next idle episode starts local again
-      do_restart(w, reply, 0, 0, /*from_scheduler=*/true);
-    } else if (num_domains_ > 1 && from >= 0) {
-      // A rejected local probe advances the streak; a rejected remote one
-      // spends it (cross-domain probes are rate-limited, as in the
-      // native runtime's thief).
-      if (domain_of_[static_cast<unsigned>(from)] == domain_of_[w]) {
-        ++W.local_fails;
-      } else {
-        W.local_fails = 0;
-      }
-    }
+    if (reply != kRejected) do_restart(w, reply, 0, 0, /*from_scheduler=*/true);
   }
 }
 

@@ -218,7 +218,6 @@ class Vm {
     int steal_request_from = -1;   // requester worker id, -1 none
     Addr steal_reply = kNoReply;   // kNoReply none, kRejected, or ctx addr
     int awaiting_victim = -1;      // victim we posted a request to
-    unsigned local_fails = 0;      // consecutive failed local-domain probes
   };
 
   static constexpr Addr kNoReply = -2;
@@ -397,12 +396,6 @@ class Vm {
   int metrics_provider_ = -1;
   stu::Xoshiro256 rng_;
   std::optional<Word> result_;
-  /// Steal-domain hierarchy (ST_TOPOLOGY, explicit specs only -- the VM
-  /// is a model, so `auto` hardware discovery stays flat here).  Flat
-  /// default keeps victim selection bit-identical to the pre-domain VM.
-  std::vector<std::uint16_t> domain_of_;
-  unsigned num_domains_ = 1;
-  unsigned steal_local_retries_ = 4;  ///< ST_STEAL_LOCAL_RETRIES
 };
 
 }  // namespace stvm

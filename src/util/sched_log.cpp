@@ -17,10 +17,8 @@ std::atomic<std::uint32_t> g_sched_annotate{0};
 
 namespace {
 
-constexpr char kSchedMagicV1[16] = {'s', 't', 'm', 'p', '-', 's', 'c', 'h',
-                                    'e', 'd', '-', 'v', '1', '\0', '\0', '\0'};
-constexpr char kSchedMagicV2[16] = {'s', 't', 'm', 'p', '-', 's', 'c', 'h',
-                                    'e', 'd', '-', 'v', '2', '\0', '\0', '\0'};
+constexpr char kSchedMagic[16] = {'s', 't', 'm', 'p', '-', 's', 'c', 'h',
+                                  'e', 'd', '-', 'v', '1', '\0', '\0', '\0'};
 
 /// How many times the head root decision may be refused before replay
 /// abandons it (divergence) rather than deadlocking the scheduler loop.
@@ -380,8 +378,6 @@ const char* sched_kind_name(std::uint16_t kind) noexcept {
     case kSchedAccess: return "access";
     case kSchedHbRelease: return "hb-release";
     case kSchedHbAcquire: return "hb-acquire";
-    case kSchedDomain: return "domain";
-    case kSchedBatch: return "batch";
     default: return "?";
   }
 }
@@ -411,16 +407,7 @@ bool sched_write_file(const std::string& path, const std::vector<SchedDecision>&
     if (err != nullptr) *err = "cannot open for writing";
     return false;
   }
-  // Lowest container that covers the log: hierarchical-steal kinds need
-  // v2; everything else keeps the v1 magic old readers understand.
-  const char* magic = kSchedMagicV1;
-  for (const SchedDecision& d : log) {
-    if (d.kind >= kSchedFirstV2Kind) {
-      magic = kSchedMagicV2;
-      break;
-    }
-  }
-  bool ok = std::fwrite(magic, 1, 16, f) == 16;
+  bool ok = std::fwrite(kSchedMagic, 1, 16, f) == 16;
   const std::uint64_t n = log.size();
   ok = ok && std::fwrite(&n, sizeof(n), 1, f) == 1;
   ok = ok && (n == 0 || std::fwrite(log.data(), sizeof(SchedDecision), n, f) == n);
@@ -430,7 +417,7 @@ bool sched_write_file(const std::string& path, const std::vector<SchedDecision>&
 }
 
 bool sched_read_file(const std::string& path, std::vector<SchedDecision>* out,
-                     std::string* err, std::uint32_t* version) {
+                     std::string* err) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     if (err != nullptr) *err = "cannot open";
@@ -439,18 +426,17 @@ bool sched_read_file(const std::string& path, std::vector<SchedDecision>* out,
   char magic[16];
   std::uint64_t n = 0;
   bool ok = std::fread(magic, 1, sizeof(magic), f) == sizeof(magic);
-  std::uint32_t ver = 0;
-  if (ok && std::memcmp(magic, kSchedMagicV1, sizeof(magic)) == 0) {
-    ver = kSchedFormatV1;
-  } else if (ok && std::memcmp(magic, kSchedMagicV2, sizeof(magic)) == 0) {
-    ver = kSchedFormatV2;
-  }
-  if (!ok || ver == 0) {
-    if (err != nullptr) *err = "bad magic (not an stmp-sched-v1/v2 file)";
+  if (!ok || std::memcmp(magic, kSchedMagic, sizeof(magic)) != 0) {
+    // Name what was found: an old stmp-sched-v2 (hierarchical-steal) log
+    // must fail loudly rather than replay misaligned.
+    std::string found;
+    for (std::size_t i = 0; ok && i < sizeof(magic) && magic[i] != '\0'; ++i) {
+      found += magic[i] >= 0x20 && magic[i] < 0x7f ? magic[i] : '?';
+    }
+    if (err != nullptr) *err = "bad magic '" + found + "' (want stmp-sched-v1)";
     std::fclose(f);
     return false;
   }
-  if (version != nullptr) *version = ver;
   ok = std::fread(&n, sizeof(n), 1, f) == 1;
   if (ok && n > (std::uint64_t{1} << 32)) {
     if (err != nullptr) *err = "implausible decision count";
@@ -468,8 +454,7 @@ bool sched_read_file(const std::string& path, std::vector<SchedDecision>* out,
   return true;
 }
 
-bool sched_lint(const std::vector<SchedDecision>& log, std::string* err,
-                std::uint32_t version) {
+bool sched_lint(const std::vector<SchedDecision>& log, std::string* err) {
   auto fail = [&](const std::string& m) {
     if (err != nullptr) *err = m;
     return false;
@@ -480,9 +465,6 @@ bool sched_lint(const std::vector<SchedDecision>& log, std::string* err,
   // so every runtime probe must resolve via kSchedStealResult; STVM
   // probes resolve VM-internally and record no steal-result.
   std::map<std::uint64_t, std::uint64_t> pending;
-  // Per (src, worker): a successful victim decision licenses exactly one
-  // kSchedDomain annotation (recorded immediately after it).
-  std::map<std::uint64_t, bool> domain_ok;
   char buf[192];
   for (std::size_t i = 0; i < log.size(); ++i) {
     const SchedDecision& d = log[i];
@@ -495,16 +477,6 @@ bool sched_lint(const std::vector<SchedDecision>& log, std::string* err,
     if (d.kind >= kSchedKindCount) {
       std::snprintf(buf, sizeof(buf), "decision %zu: unknown kind %u", i,
                     static_cast<unsigned>(d.kind));
-      return fail(buf);
-    }
-    if (version == kSchedFormatV1 && d.kind >= kSchedFirstV2Kind) {
-      // The version gate (st_replay lint): a v1-magic file must not
-      // smuggle hierarchical-steal kinds -- say so instead of letting a
-      // downstream consumer hit an inexplicable decode error.
-      std::snprintf(buf, sizeof(buf),
-                    "decision %zu: stmp-sched-v1 log contains v2 kind '%s' "
-                    "(mixed-version file; re-record or fix the magic)",
-                    i, sched_kind_name(d.kind));
       return fail(buf);
     }
     if (d.src != kTraceSrcRuntime && d.src != kTraceSrcStvm) {
@@ -537,27 +509,6 @@ bool sched_lint(const std::vector<SchedDecision>& log, std::string* err,
           return fail(buf);
         }
       }
-    }
-    if (d.kind == kSchedVictim) {
-      domain_ok[wk] = d.a != kSchedNoVictim;
-    } else if (d.kind == kSchedDomain) {
-      auto it = domain_ok.find(wk);
-      if (it == domain_ok.end() || !it->second) {
-        std::snprintf(buf, sizeof(buf),
-                      "decision %zu: domain record for worker %u without a "
-                      "preceding successful victim decision",
-                      i, static_cast<unsigned>(d.worker));
-        return fail(buf);
-      }
-      it->second = false;
-      if (d.b > 1) {
-        std::snprintf(buf, sizeof(buf), "decision %zu: domain locality flag %llu",
-                      i, static_cast<unsigned long long>(d.b));
-        return fail(buf);
-      }
-    } else if (d.kind == kSchedBatch && d.a == 0) {
-      std::snprintf(buf, sizeof(buf), "decision %zu: empty steal batch", i);
-      return fail(buf);
     }
     if (d.kind == kSchedQuantum && d.a == 0) {
       std::snprintf(buf, sizeof(buf), "decision %zu: zero-length quantum", i);

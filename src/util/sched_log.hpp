@@ -81,32 +81,8 @@ enum SchedKind : std::uint16_t {
   kSchedHbRelease = 9,
   /// The acquire pairing a release by token.  a = token, b = SchedHbClass.
   kSchedHbAcquire = 10,
-  // -- stmp-sched-v2 kinds (hierarchical stealing, PR 10).  A log
-  // containing any kind below is written with the v2 magic; v1 files
-  // must not contain them (sched_lint enforces the gate).
-  /// Domain annotation of the immediately preceding kSchedVictim by the
-  /// same (src, worker): the thief committed to a victim in domain `a`;
-  /// b = 1 when that domain is the thief's own (local steal), 0 for a
-  /// cross-domain probe.  Recorded only for probes that found a victim,
-  /// so the per-(src,worker,kind) FIFOs stay 1:1 with successful victim
-  /// decisions.  Replay consumes it for queue alignment and the trace
-  /// ride-along; the forced victim already implies the domain.
-  kSchedDomain = 11,
-  /// A victim handed out a steal-half batch through the extended
-  /// Figure-10 negotiation.  a = continuations transferred (>= 1,
-  /// 1 + StealRequest extras), b = thief worker id.  Native victim-side
-  /// record; serve decisions are never forced back, so replay treats it
-  /// like an observation of the negotiation.
-  kSchedBatch = 12,
-  kSchedKindCount = 13,
+  kSchedKindCount = 11,
 };
-
-/// First SchedKind that requires the stmp-sched-v2 container.
-inline constexpr std::uint16_t kSchedFirstV2Kind = kSchedDomain;
-
-/// On-disk container versions (the 16-byte magic encodes one of these).
-inline constexpr std::uint32_t kSchedFormatV1 = 1;
-inline constexpr std::uint32_t kSchedFormatV2 = 2;
 
 /// kSchedAccess `b` low bits.
 enum SchedAccessKind : std::uint64_t {
@@ -260,25 +236,17 @@ void sched_reset_counters();
 
 const char* sched_kind_name(std::uint16_t kind) noexcept;
 
-/// stmp-sched binary io.  Layout: 16-byte magic ("stmp-sched-v1\0\0\0" or
-/// "stmp-sched-v2\0\0\0"), u64 little-endian decision count, then count
-/// packed SchedDecisions.  The writer picks the lowest version whose kind
-/// set covers the log: v2 iff any decision kind >= kSchedFirstV2Kind, so
-/// pre-hierarchical logs stay byte-compatible with old readers.  The
-/// reader accepts both magics; `version` (when non-null) reports which
-/// container was read (kSchedFormatV1/V2) -- pass it to sched_lint to
-/// reject mixed-version files.
+/// stmp-sched binary io.  Layout: 16-byte magic ("stmp-sched-v1\0\0\0"),
+/// u64 little-endian decision count, then count packed SchedDecisions.
+/// The reader refuses any other magic, naming the one it found.
 bool sched_write_file(const std::string& path, const std::vector<SchedDecision>& log,
                       std::string* err = nullptr);
 bool sched_read_file(const std::string& path, std::vector<SchedDecision>* out,
-                     std::string* err = nullptr, std::uint32_t* version = nullptr);
+                     std::string* err = nullptr);
 
 /// Structural validation: seq strictly increasing, kinds/srcs in range,
-/// victim/steal pairing per worker, domain/batch payload sanity.  When
-/// `version` is kSchedFormatV1, any v2 decision kind fails with a clear
-/// version-mismatch message (the st_replay lint gate); 0 accepts every
-/// known kind (in-memory logs).  Returns false with a message.
-bool sched_lint(const std::vector<SchedDecision>& log, std::string* err,
-                std::uint32_t version = 0);
+/// victim/steal pairing per worker, payload sanity.  Returns false with
+/// a message.
+bool sched_lint(const std::vector<SchedDecision>& log, std::string* err);
 
 }  // namespace stu

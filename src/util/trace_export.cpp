@@ -89,12 +89,11 @@ const char* kEventNames[kTraceEventCount] = {
     "vm-suspend", "vm-restart", "vm-shrink", "vm-migrate",
     "io-wait", "io-ready", "io-wake", "io-timer", "io-migrate", "io-cancel",
     "sched-decision",
-    "steal-batch",
 };
 
 constexpr std::uint64_t kGroupSteal =
     bit(kTraceStealPosted) | bit(kTraceStealServed) | bit(kTraceStealRejected) |
-    bit(kTraceStealReceived) | bit(kTraceStealCancelled) | bit(kTraceStealBatch);
+    bit(kTraceStealReceived) | bit(kTraceStealCancelled);
 constexpr std::uint64_t kGroupStacklet = bit(kTraceStackletAlloc) | bit(kTraceHeapFallback);
 constexpr std::uint64_t kGroupVm = bit(kTraceVmSuspend) | bit(kTraceVmRestart) |
                                    bit(kTraceVmShrink) | bit(kTraceVmMigrate);
@@ -408,10 +407,9 @@ std::string trace_to_json(std::vector<TraceRecord> records) {
         emit_flow("s", "steal", id, r);
         break;
       }
-      case kTraceStealServed:
-      case kTraceStealBatch: {
-        // Both ride the posted negotiation: batch is an extra step on the
-        // same flow (served closes on the thief's steal-received).
+      case kTraceStealServed: {
+        // A step on the posted negotiation's flow (the thief's
+        // steal-received closes it).
         auto it = steal_flow.find(r.a);
         if (it != steal_flow.end()) emit_flow("t", "steal", it->second, r);
         break;

@@ -79,11 +79,6 @@ enum TraceEvent : std::uint16_t {
   // so the numeric values of every earlier event -- and therefore saved
   // ST_TRACE_EVENTS masks -- stay stable.
   kTraceSched,           ///< schedule decision recorded/replayed
-  // Hierarchical stealing (runtime/topology.hpp): a victim handed a
-  // steal-half batch (> 1 continuations) to a cross-domain thief in one
-  // extended Figure-10 negotiation.  a = StealRequest address (same flow
-  // key as steal-posted/served), b = continuations transferred.
-  kTraceStealBatch,      ///< batched cross-domain steal served
   kTraceEventCount,
 };
 static_assert(kTraceEventCount <= 64, "event mask is a uint64_t bitset");

@@ -403,6 +403,37 @@ TEST(RuntimeCore, ExceptionsInsideTaskAreFineIfCaught) {
   EXPECT_TRUE(caught);
 }
 
+TEST(RuntimeCore, DomainShimSumsToTheIdleWakeCounter) {
+  // The scheduler is flat; num_domains()/domain_idle_wakes() remain only
+  // for perfbench/runtime_probe.hpp, which sums wakes over the domains.
+  // That sum must be the runtime's one idle-wake counter.  Workers may
+  // still wake while it is read, so it is bracketed by two reads.
+  st::Runtime rt(4);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> leaves{0};
+    rt.run([&] {
+      st::JoinCounter jc;
+      for (int i = 0; i < 64; ++i) {
+        jc.add();
+        st::fork([&] {
+          leaves.fetch_add(1, std::memory_order_relaxed);
+          jc.finish();
+        });
+      }
+      jc.join();
+    });
+    ASSERT_EQ(leaves.load(), 64);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));  // let workers park
+  }
+  ASSERT_EQ(rt.num_domains(), 1u);
+  const std::uint64_t before = rt.idle_wakes();
+  std::uint64_t sum = 0;
+  for (unsigned d = 0; d < rt.num_domains(); ++d) sum += rt.domain_idle_wakes(d);
+  const std::uint64_t after = rt.idle_wakes();
+  EXPECT_LE(before, sum);
+  EXPECT_LE(sum, after);
+}
+
 TEST(RuntimeCore, PollOffWorkerIsHarmless) {
   st::poll();  // no worker: must be a no-op, not a crash
   SUCCEED();

@@ -205,11 +205,9 @@ TEST(CounterTable, RuntimeMetricsJsonCarriesEveryRow) {
     const std::uint64_t v = std::strtoull(json.c_str() + at + key.size() + 3, nullptr, 10);
     EXPECT_TRUE(v >= low && v <= high) << key << '=' << v << " outside " << low << ".." << high;
   };
-#define EXPECT_ROW(field, key) expect_row(#key, lo.field, hi.field);
-#define EXPECT_REGION_ROW(field, getter) expect_row(#field, lo.field, hi.field);
-  ST_WORKER_COUNTERS(EXPECT_ROW, EXPECT_REGION_ROW)
+#define EXPECT_ROW(field, ...) expect_row(#field, lo.field, hi.field);
+  ST_WORKER_COUNTERS(EXPECT_ROW, EXPECT_ROW)
 #undef EXPECT_ROW
-#undef EXPECT_REGION_ROW
   // One colon per row, plus the "counters" key's own.
   EXPECT_EQ(std::count(json.begin() + begin, json.begin() + end, ':'), rows + 1) << json;
   EXPECT_EQ(lo.forks, (1u << 13) - 2);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -211,6 +212,21 @@ TEST_F(SchedReplayTest, FileRoundTripAndLint) {
   EXPECT_FALSE(stu::sched_lint(bad, &err));
   for (stu::SchedDecision& d : bad) d.kind = 0xffff;  // garbage everywhere
   EXPECT_FALSE(stu::sched_lint(bad, &err));
+
+  // Logs are v1 only: a file with the retired stmp-sched-v2 magic (the
+  // hierarchical-steal container) is refused by name, not replayed
+  // misaligned.
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const char v2[16] = {'s', 't', 'm', 'p', '-', 's', 'c', 'h',
+                         'e', 'd', '-', 'v', '2', '\0', '\0', '\0'};
+    ASSERT_EQ(std::fwrite(v2, 1, sizeof(v2), f), sizeof(v2));
+    std::fclose(f);
+  }
+  err.clear();
+  EXPECT_FALSE(stu::sched_read_file(path, &back, &err));
+  EXPECT_NE(err.find("stmp-sched-v2"), std::string::npos) << err;
 }
 
 }  // namespace

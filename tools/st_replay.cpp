@@ -144,15 +144,11 @@ std::vector<stu::SchedDecision> run_record(const RunOpts& o, RunOutcome* outcome
 std::vector<stu::SchedDecision> load_or_die(const std::string& path) {
   std::vector<stu::SchedDecision> log;
   std::string err;
-  std::uint32_t version = 0;
-  if (!stu::sched_read_file(path, &log, &err, &version)) {
+  if (!stu::sched_read_file(path, &log, &err)) {
     std::fprintf(stderr, "st_replay: %s: %s\n", path.c_str(), err.c_str());
     std::exit(2);
   }
-  // Version-gated lint: a stmp-sched-v1 file containing v2 kinds (domain
-  // / batch) is a mixed-version artifact and is rejected with a clear
-  // message rather than replayed into silent FIFO misalignment.
-  if (!stu::sched_lint(log, &err, version)) {
+  if (!stu::sched_lint(log, &err)) {
     std::fprintf(stderr, "st_replay: %s: lint: %s\n", path.c_str(), err.c_str());
     std::exit(2);
   }

@@ -15,18 +15,12 @@
 //     ride-alongs from util/sched_log.hpp) carry a "seq" arg that is
 //     nonzero and unique across all three names (they share one Lamport
 //     clock) and a "kind" arg consistent with the name: decisions are
-//     the non-annotation SchedKinds (including the v2 domain/batch
-//     kinds), sched-access is kSchedAccess, and sched-hb is
-//     kSchedHbRelease/kSchedHbAcquire.
-//   - steal-batch events (a victim handing out a steal-half batch) must
-//     land inside an open steal negotiation: a steal-posted with the
-//     same request address precedes them, and the batch size arg is
-//     >= 2 (a single-task serve is a plain steal-served).
-//   - with a second argument naming a stmp-sched-v1/v2 file
+//     the non-annotation SchedKinds, sched-access is kSchedAccess, and
+//     sched-hb is kSchedHbRelease/kSchedHbAcquire.
+//   - with a second argument naming a stmp-sched-v1 file
 //     (ST_SCHED_RECORD output), every ride-along's (seq, kind) must
 //     match a decision in the schedule log: the two streams are views of
-//     one clock.  The log is version-gated first: a v1-magic file
-//     containing v2 kinds is rejected outright.
+//     one clock.
 // Exit 0 on success; exit 1 with a diagnostic otherwise.  Used by the
 // `trace_smoke` ctest (cmake/trace_smoke.cmake) and usable by hand:
 //
@@ -116,12 +110,11 @@ int main(int argc, char** argv) {
   if (argc == 3) {
     std::vector<stu::SchedDecision> log;
     std::string serr;
-    std::uint32_t version = 0;
-    if (!stu::sched_read_file(argv[2], &log, &serr, &version)) {
+    if (!stu::sched_read_file(argv[2], &log, &serr)) {
       std::fprintf(stderr, "trace_lint: %s: %s\n", argv[2], serr.c_str());
       return 1;
     }
-    if (!stu::sched_lint(log, &serr, version)) {
+    if (!stu::sched_lint(log, &serr)) {
       std::fprintf(stderr, "trace_lint: %s: %s\n", argv[2], serr.c_str());
       return 1;
     }
@@ -158,10 +151,7 @@ int main(int argc, char** argv) {
   // (cat, id) -> phase progress: 1 = started, 2 = finished.
   std::map<std::pair<std::string, std::uint64_t>, int> flows;
   std::set<std::uint64_t> sched_seqs;
-  // StealRequest address -> open negotiations (posted, not yet closed by
-  // received/rejected/cancelled); steal-batch must land inside one.
-  std::map<std::uint64_t, int> steal_open;
-  std::size_t n_io = 0, n_flow = 0, n_sched = 0, n_batch = 0;
+  std::size_t n_io = 0, n_flow = 0, n_sched = 0;
   int bad = 0;
   auto fail = [&](const std::string& obj, const char* what) {
     std::fprintf(stderr, "trace_lint: %s: %s: %s\n", argv[1], what, obj.c_str());
@@ -177,29 +167,6 @@ int main(int argc, char** argv) {
     if (ph == "X" && name.rfind("io-", 0) == 0) {
       ++n_io;
       if (!kIoNames.count(name)) fail(obj, "unknown io-* event name");
-    }
-
-    if (ph == "X" && name.rfind("steal-", 0) == 0) {
-      std::uint64_t req = 0, count = 0;
-      field_u64(obj, "a", &req);
-      if (name == "steal-posted") {
-        ++steal_open[req];
-      } else if (name == "steal-batch") {
-        ++n_batch;
-        auto it = steal_open.find(req);
-        if (it == steal_open.end() || it->second <= 0) {
-          fail(obj, "steal-batch outside an open steal negotiation");
-        }
-        if (!field_u64(obj, "b", &count) || count < 2) {
-          fail(obj, "steal-batch with batch size < 2 (single serves are steal-served)");
-        }
-      } else if (name == "steal-received" || name == "steal-rejected" ||
-                 name == "steal-cancelled") {
-        auto it = steal_open.find(req);
-        // A ring may have dropped the posted edge; only balanced closes
-        // are policed.
-        if (it != steal_open.end() && it->second > 0) --it->second;
-      }
     }
 
     if (ph == "s" || ph == "t" || ph == "f") {
@@ -240,9 +207,7 @@ int main(int argc, char** argv) {
       } else if (kind == stu::kSchedAccess || kind == stu::kSchedHbRelease ||
                  kind == stu::kSchedHbAcquire) {
         // Annotation kinds are renamed by the exporter; a decision-named
-        // event carrying one means the streams are out of sync.  The v2
-        // decision kinds (domain/batch) sit numerically above the
-        // annotations, so this is a membership test, not a threshold.
+        // event carrying one means the streams are out of sync.
         fail(obj, "sched-decision named event carries an annotation kind");
       }
       if (kind >= stu::kSchedKindCount) fail(obj, "sched event kind out of range");
@@ -266,8 +231,8 @@ int main(int argc, char** argv) {
     if (f.second != 2) ++dangling;
   std::printf(
       "trace_lint: %s ok (%zu bytes, %zu events, %zu io, %zu flow arrows"
-      " (%zu unfinished), %zu sched events, %zu steal batches%s)\n",
+      " (%zu unfinished), %zu sched events%s)\n",
       argv[1], text.size(), events.size(), n_io, n_flow, dangling, n_sched,
-      n_batch, have_sched_file ? ", cross-checked" : "");
+      have_sched_file ? ", cross-checked" : "");
   return 0;
 }

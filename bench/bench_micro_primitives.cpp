@@ -200,6 +200,35 @@ void BM_ForkJoinTree(benchmark::State& state) {
 }
 BENCHMARK(BM_ForkJoinTree);
 
+// -- fork/join down a 16-deep chain ---------------------------------------
+// Nesting depth alone: each level forks one child that forks the next and
+// joins it, so every fork is 16 frames deep in forks and every return
+// crosses all of them -- unlike BM_ForkJoinTree, whose leaves are shallow
+// half the time, or the flat benches, which never nest.  Reported per
+// fork (16 per chain).
+constexpr int kChainDepth = 16;
+
+__attribute__((noinline)) void fork_chain(int depth) {
+  if (depth == 0) return;
+  st::JoinCounter jc(1);
+  st::fork([depth, &jc] {
+    fork_chain(depth - 1);
+    jc.finish();
+  });
+  jc.join();
+}
+
+void BM_ForkJoinChain(benchmark::State& state) {
+  st::Runtime rt(1);
+  rt.run([&] {
+    fork_chain(kChainDepth);  // warm the stacklet region
+    for (auto _ : state) fork_chain(kChainDepth);
+  });
+  state.counters["per_fork"] = benchmark::Counter(
+      kChainDepth, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ForkJoinChain);
+
 // -- the future call: spawn + get ------------------------------------------
 // One cached cell, one handle, one set() exchange and the get() fast path
 // (the child finishes first under LIFO).  Compare with BM_ForkJoinCounter:
@@ -368,14 +397,25 @@ BENCHMARK(BM_IdleWakeLatency)->UseManualTime();
 // Custom main instead of BENCHMARK_MAIN(): strips the harness-level
 // `--json [path]` flag (shared with the figure/table suites) before
 // handing the rest to google-benchmark, and mirrors every per-iteration
-// run into the machine-readable results file.
+// run into the machine-readable results file.  A run's time-per-unit
+// counters (inverted rates such as the trees' per_fork / per_spawn) get
+// rows of their own, `<benchmark>/<counter>`, in ns per unit: a tree's
+// per-iteration time mixes the fork cost with the tree's size.
 class JsonCapturingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
       if (run.run_type == Run::RT_Iteration && !run.error_occurred) {
-        bench::json_writer().add(run.benchmark_name(), run.GetAdjustedRealTime(),
+        const std::string name = run.benchmark_name();
+        bench::json_writer().add(name, run.GetAdjustedRealTime(),
                                  static_cast<long>(run.iterations));
+        for (const auto& [key, counter] : run.counters) {
+          const bool per_unit = (counter.flags & benchmark::Counter::kIsRate) != 0 &&
+                                (counter.flags & benchmark::Counter::kInvert) != 0;
+          if (!per_unit) continue;
+          bench::json_writer().add(name + "/" + key, counter.value * 1e9,
+                                   static_cast<long>(run.iterations));
+        }
       }
     }
     ConsoleReporter::ReportRuns(reports);

@@ -59,6 +59,27 @@ struct MachineContext {
 #endif
 };
 
+/// A suspended computation: the paper's `context' structure.  Like the
+/// paper's join-counter example (Figure 8), these typically live on the
+/// suspended thread's own stack and stay valid for exactly as long as the
+/// thread is suspended.  A fork's parent record lives in the child's
+/// stacklet header (Stacklet::parent), which outlives the record's time
+/// on the fork deque.
+struct Continuation {
+  void* sp = nullptr;
+  /// Suspension timestamp (trace_clock ticks), stamped by suspend() when
+  /// metrics are enabled; 0 for fork-parent continuations.  Consumed (and
+  /// zeroed) by whoever dispatches the continuation to record the
+  /// suspend->restart latency histogram.
+  std::uint64_t t_suspend = 0;
+#if ST_TSAN_FIBERS
+  /// TSan fiber of the suspended logical thread; travels with the
+  /// continuation (steal replies copy the whole struct) so whoever
+  /// dispatches it can announce the switch.
+  void* fiber = nullptr;
+#endif
+};
+
 /// Action executed by the destination context immediately after a switch,
 /// while the source context's stack is already quiescent.
 struct SwitchMsg {

@@ -105,50 +105,6 @@ inline void record_resume_latency(Worker* w, Continuation* c) noexcept {
   }
 }
 
-/// Completion of a forked computation: picks the context to continue --
-/// the parent continuation at the fork-deque head, or the scheduler when
-/// the parent was stolen or this computation was dispatched from the
-/// scheduler loop.  Out of line so that its tl_worker read resolves the
-/// TLS address afresh: the computation may have migrated, and an address
-/// child_entry computed before invoke() would name the old OS thread's
-/// worker.  Under TSan this announces the fiber switch and then returns,
-/// so it carries no function-exit hook (ST_NO_TSAN_FRAME).
-[[gnu::noinline]] ST_NO_TSAN_FRAME ContextExit complete_child(Stacklet* s) {
-  Worker* w = tl_worker;
-  ++w->stats().tasks_completed;
-  w->trace(stu::kTraceTaskComplete, reinterpret_cast<std::uintptr_t>(s));
-  // The stacklet must outlive this stack; the destination context
-  // releases it through the header-resident message.
-  s->exit_msg.run = &release_stacklet_cb;
-  s->exit_msg.arg = s;
-  Continuation* parent =
-      w->fork_deque().empty() ? nullptr : w->fork_deque().pop_head();
-  void* target = parent != nullptr ? parent->sp : w->scheduler_context().sp;
-#if ST_TSAN_FIBERS
-  s->exit_msg.dead_fiber = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(
-      parent != nullptr ? parent->fiber : w->scheduler_context().fiber, 0);
-#endif
-  return {target, &s->exit_msg};
-}
-
-/// Entry point of every forked computation: called by st_ctx_fork on the
-/// child's fresh stacklet (the root: by st_ctx_boot).  Its return is the
-/// switch to the next context (ContextEntry).
-ST_NO_TSAN_FRAME ContextExit child_entry(void* raw_msg, void* arg) {
-  run_switch_msg(static_cast<SwitchMsg*>(raw_msg));
-  auto* s = static_cast<Stacklet*>(arg);
-  // The fork point's steal poll.  It sits here, not in fork_impl, because
-  // only now is the parent continuation on the fork deque with its sp
-  // saved: a waiting thief gets it before this child runs a (possibly
-  // long) fork-free stretch.  Polling before the push found the deque
-  // empty in a flat fork loop, so its continuation was never stolen.
-  Worker* w = tl_worker;
-  if (w->poll_word() & Worker::kPollServe) [[unlikely]] w->poll_slow();
-  s->invoke(s->closure);
-  return complete_child(s);
-}
-
 /// Calls f(name, unit, scale, merged) for every ST_WORKER_HISTOGRAMS
 /// row, in table order, with the row merged over all workers and `scale`
 /// converting its samples to `unit`.
@@ -174,7 +130,7 @@ void for_each_histogram(const std::vector<std::unique_ptr<Worker>>& workers, F&&
 
 namespace detail {
 
-void fork_impl(void (*invoke)(void*), void* closure, Stacklet* s) {
+void fork_prepare(Stacklet* s) {
   Worker* w = tl_worker;
   // The paper's "a fork costs about a procedure call": two plain
   // increments, one relaxed load of the poll word, one predictable
@@ -183,24 +139,28 @@ void fork_impl(void (*invoke)(void*), void* closure, Stacklet* s) {
   ++w->stats().forks;
   w->heartbeat();
   if (w->poll_word() & Worker::kPollFeatures) [[unlikely]] w->fork_poll_slow(s);
-  s->invoke = invoke;
-  s->closure = closure;
-  Continuation parent;  // this worker's deques never outlive this frame's liveness
-  w->fork_deque().push_head(&parent);
+  s->parent.t_suspend = 0;  // heap-fallback headers start uninitialised
+  w->fork_deque().push_head(&s->parent);
   w->maybe_publish_depth();
-  // parent.sp is written by st_ctx_fork before the stack switch, and only
-  // this worker dequeues the record (polling protocol), sequenced after
-  // the switch -- so the head entry is never observed with an unset sp.
-  char* child_top = s->stack_base() + s->stack_bytes();
+}
+
+[[gnu::noinline]] ST_NO_TSAN_FRAME ContextExit complete_child(Stacklet* s) {
+  Worker* w = tl_worker;
+  ++w->stats().tasks_completed;
+  w->trace(stu::kTraceTaskComplete, reinterpret_cast<std::uintptr_t>(s));
+  // The stacklet must outlive this stack; the destination context
+  // releases it through the header-resident message.
+  s->exit_msg.run = &release_stacklet_cb;
+  s->exit_msg.arg = s;
+  Continuation* parent =
+      w->fork_deque().empty() ? nullptr : w->fork_deque().pop_head();
+  void* target = parent != nullptr ? parent->sp : w->scheduler_context().sp;
 #if ST_TSAN_FIBERS
-  parent.fiber = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(__tsan_create_fiber(0), 0);
+  s->exit_msg.dead_fiber = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(
+      parent != nullptr ? parent->fiber : w->scheduler_context().fiber, 0);
 #endif
-  auto* back = static_cast<SwitchMsg*>(
-      st_ctx_fork(&parent.sp, child_top, &child_entry, s));
-  // Resumed: the child finished or suspended on this worker, or this
-  // continuation was stolen and now runs on a thief.  Do not touch `w`.
-  run_switch_msg(back);
+  return {target, &s->exit_msg};
 }
 
 Stacklet* allocate_stacklet() {
@@ -662,9 +622,9 @@ void Worker::scheduler_loop() {
       }
       using Root = std::function<void()>;
       static_assert(sizeof(Root) <= Stacklet::kClosureBytes);
-      s->closure = new (s->closure_area()) Root(std::move(root));
-      s->invoke = &detail::invoke_closure<Root>;
-      void* sp = st_ctx_prepare(s->stack_base(), s->stack_bytes(), &child_entry, s);
+      new (s->closure_area()) Root(std::move(root));
+      void* sp = st_ctx_prepare(s->stack_base(), s->stack_bytes(),
+                                &detail::fork_entry<Root>, s);
       Continuation root_ctx{sp};
 #if ST_TSAN_FIBERS
       root_ctx.fiber = __tsan_create_fiber(0);
@@ -983,13 +943,14 @@ RuntimeStats Runtime::stats() const {
         std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
     for (const auto& w : workers_) {
       if (w.get() == self) continue;
-      while ((w->poll_word() & Worker::kPollSample) != 0 && !w->parked() &&
+      // The acquire load pairs with the owner's release clear of
+      // kPollSample after publishing (parked()/io_blocked() pair with
+      // the release stores made after their own publish).
+      while ((w->poll_word_acquire() & Worker::kPollSample) != 0 && !w->parked() &&
              !w->io_blocked() && std::chrono::steady_clock::now() < deadline) {
         std::this_thread::yield();
       }
     }
-    // Pairs with the owner's release clear of kPollSample after publishing.
-    std::atomic_thread_fence(std::memory_order_acquire);
   }
   RuntimeStats out;
   for (const auto& w : workers_) {

@@ -221,19 +221,46 @@ class Runtime {
 
 namespace detail {
 
-/// Non-template part of fork: runs `invoke(closure)` on stacklet `s` as a
-/// new fine-grain thread, pushing the caller's continuation as a fork
-/// record.  Returns when the child finishes or suspends, or -- if the
-/// record was stolen -- on the thief.
-void fork_impl(void (*invoke)(void*), void* closure, Stacklet* s);
-
 Stacklet* allocate_stacklet();
+
+/// The fork's bookkeeping before its stack switch: counters, heartbeat,
+/// the features slow path, the push of s->parent on the fork deque and
+/// the decimated depth publication.  Out of line, and it returns before
+/// the switch, so it adds no return address to the nested chain.
+void fork_prepare(Stacklet* s);
 
 [[noreturn]] void report_escaped_exception() noexcept;
 
+/// Completion of a forked computation: picks the context to continue --
+/// the parent continuation at the fork-deque head, or the scheduler when
+/// the parent was stolen or this computation was dispatched from the
+/// scheduler loop.  Out of line so that its tl_worker read resolves the
+/// TLS address afresh: the computation may have migrated, and an address
+/// fork_entry computed before the closure ran would name the old OS
+/// thread's worker.  Under TSan this announces the fiber switch and then
+/// returns, so it carries no function-exit hook (ST_NO_TSAN_FRAME).
+[[gnu::noinline]] ST_NO_TSAN_FRAME ContextExit complete_child(Stacklet* s);
+
+/// Entry point of a forked computation running closure type Fn: called
+/// by st_ctx_fork on the child's fresh stacklet (a root: by st_ctx_boot).
+/// Its return is the switch to the next context (ContextEntry).  Being
+/// specialised for Fn, it calls the closure directly, so each level of
+/// fork nesting keeps only two runtime return addresses live (st_ctx_fork
+/// and this one) and deep fork recursions stay within the return-stack
+/// buffer (DESIGN.md §5.16).  Under TSan the closure call stays out of
+/// line (g++ does not inline across differing sanitize attributes), so
+/// user code keeps its instrumentation.
 template <typename Fn>
-void invoke_closure(void* p) {
-  Fn* fn = static_cast<Fn*>(p);
+ST_NO_TSAN_FRAME ContextExit fork_entry(void* raw_msg, void* arg) {
+  run_switch_msg(static_cast<SwitchMsg*>(raw_msg));
+  auto* s = static_cast<Stacklet*>(arg);
+  // The fork point's steal poll.  It sits here, not before the switch,
+  // because only now is the parent continuation on the fork deque with
+  // its sp saved: a waiting thief gets it before this child runs a
+  // (possibly long) fork-free stretch.
+  Worker* w = tl_worker;
+  if (w->poll_word() & Worker::kPollServe) [[unlikely]] w->poll_slow();
+  Fn* fn = std::launder(reinterpret_cast<Fn*>(s->closure_area()));
   try {
     (*fn)();
   } catch (...) {
@@ -241,6 +268,7 @@ void invoke_closure(void* p) {
     report_escaped_exception();
   }
   fn->~Fn();
+  return complete_child(s);
 }
 
 }  // namespace detail
@@ -249,15 +277,31 @@ void invoke_closure(void* p) {
 /// immediately (LIFO); the caller continues when the child finishes or
 /// suspends, or earlier on another worker if the caller's continuation is
 /// stolen.  The callable is copied/moved into the child (a stolen caller
-/// may leave the fork site before the child completes).
+/// may leave the fork site before the child completes).  The stack switch
+/// is made here, at the fork site, with the caller's continuation in the
+/// child's stacklet header.
 template <typename F>
 void fork(F&& f) {
   using Fn = std::decay_t<F>;
-  Stacklet* s = detail::allocate_stacklet();
   static_assert(sizeof(Fn) <= Stacklet::kClosureBytes,
                 "fork closure too large: capture by pointer/reference instead");
-  Fn* closure = new (s->closure_area()) Fn(std::forward<F>(f));
-  detail::fork_impl(&detail::invoke_closure<Fn>, closure, s);
+  Stacklet* s = detail::allocate_stacklet();
+  new (s->closure_area()) Fn(std::forward<F>(f));
+  detail::fork_prepare(s);
+  // s->parent.sp is written by st_ctx_fork before the stack switch, and
+  // only this worker dequeues the record (polling protocol), sequenced
+  // after the switch -- so the head entry is never observed with an
+  // unset sp.
+  char* child_top = s->stack_base() + s->stack_bytes();
+#if ST_TSAN_FIBERS
+  s->parent.fiber = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(__tsan_create_fiber(0), 0);
+#endif
+  auto* back = static_cast<SwitchMsg*>(
+      st_ctx_fork(&s->parent.sp, child_top, &detail::fork_entry<Fn>, s));
+  // Resumed: the child finished or suspended on this worker, or this
+  // continuation was stolen and now runs on a thief.  `s` may be gone.
+  run_switch_msg(back);
 }
 
 /// Blocks the current fine-grain thread, filling *c so that resume(c) /

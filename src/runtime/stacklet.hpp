@@ -54,13 +54,18 @@ class StackRegion;
 /// machine stack grows down from the slot's high end toward it.  A small
 /// closure area after the header receives the forked callable (the child
 /// must own its copy: a stolen parent may destroy the fork-site temporary
-/// before the child finishes).
+/// before the child finishes); the child's entry (fork_entry<Fn>) knows
+/// the callable's type, so the header stores no pointer to it.
 struct Stacklet {
   StackRegion* region;  ///< nullptr for heap-fallback stacklets
   std::uint32_t slot;   ///< region slot index (undefined for heap stacklets)
   std::size_t bytes;    ///< total slot size including this header
-  void (*invoke)(void*) = nullptr;  ///< type-erased entry for the closure
-  void* closure = nullptr;          ///< points into closure_area()
+  /// The forking caller's continuation, pushed on the fork deque while
+  /// this child runs.  It lives here rather than in a frame of the fork
+  /// path so the switch can sit at the fork site itself: the stacklet
+  /// outlives the record's time on the deque (complete_child and suspend
+  /// pop it before the stacklet is released; a steal copies it out).
+  Continuation parent;
   /// The message a finished computation hands to the context it exits to
   /// (release this stacklet).  It lives here, off the machine stack:
   /// between the entry function's `ret` and the exit tail's stack switch
@@ -76,6 +81,9 @@ struct Stacklet {
     return bytes - sizeof(Stacklet) - kClosureBytes;
   }
 };
+#if !ST_TSAN_FIBERS
+static_assert(sizeof(Stacklet) == 56, "the stacklet header grew: check the slot layout");
+#endif
 
 /// A worker's physical stack region.  allocate()/reclaim_top() are
 /// owner-only; release() may be called by any worker (cross-worker frees

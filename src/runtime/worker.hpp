@@ -49,25 +49,6 @@ namespace st {
 
 class Runtime;
 
-/// A suspended computation: the paper's `context' structure.  Like the
-/// paper's join-counter example (Figure 8), these typically live on the
-/// suspended thread's own stack and stay valid for exactly as long as the
-/// thread is suspended.
-struct Continuation {
-  void* sp = nullptr;
-  /// Suspension timestamp (trace_clock ticks), stamped by suspend() when
-  /// metrics are enabled; 0 for fork-parent continuations.  Consumed (and
-  /// zeroed) by whoever dispatches the continuation to record the
-  /// suspend->restart latency histogram.
-  std::uint64_t t_suspend = 0;
-#if ST_TSAN_FIBERS
-  /// TSan fiber of the suspended logical thread; travels with the
-  /// continuation (steal replies copy the whole struct) so whoever
-  /// dispatches it can announce the switch.
-  void* fiber = nullptr;
-#endif
-};
-
 /// One in-flight steal negotiation (Figure 10).  Owned by the thief
 /// (stack-allocated in its steal loop); the victim holds a pointer only
 /// between claiming the port and storing the final state, whose release
@@ -244,6 +225,11 @@ class alignas(stu::kCacheLine) Worker {
   /// The per-fork poll collapses to this: one relaxed load, one branch.
   std::uint32_t poll_word() const noexcept {
     return poll_word_.load(std::memory_order_relaxed);
+  }
+  /// The poll word for a remote reader that must see what the owner
+  /// published before clearing a bit (stats() waiting on kPollSample).
+  std::uint32_t poll_word_acquire() const noexcept {
+    return poll_word_.load(std::memory_order_acquire);
   }
   /// Remote side of the poll word (thief, monitor, parking worker).
   void post_poll_bits(std::uint32_t bits) noexcept {

@@ -324,4 +324,74 @@ TEST_P(StressWorkerTest, FutureFanOutFanIn) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, StressWorkerTest, ::testing::Values(1u, 2u, 4u));
 
+// A fork's parent record lives in its child's stacklet header.  A nested
+// chain deep enough to hold over half the region's slots at once keeps
+// ~1000 such records on the fork deque; thieves take them from the tail
+// -- out of headers of stacklets whose chains keep running below -- while
+// the leaf polls, and every kGateEvery-th child suspends on a gate first,
+// so suspend() consumes its parent's record from the header too.
+struct DeepChain {
+  static constexpr int kDepth = 1200;  // under the default 2048 region slots
+  static constexpr int kGateEvery = 64;
+  int want_stolen = 0;
+  std::chrono::steady_clock::time_point deadline;
+  std::atomic<int> stolen{0};
+};
+
+long deep_chain(DeepChain& dc, int d) {
+  if (d == 0) {
+    // The leaf polls: each poll may hand a thief the outermost record.
+    for (int polls = 0; polls < 1000 || (dc.stolen.load(std::memory_order_relaxed) <
+                                             dc.want_stolen &&
+                                         std::chrono::steady_clock::now() < dc.deadline);
+         ++polls) {
+      st::poll();
+    }
+    return 0;
+  }
+  const bool gated = d % DeepChain::kGateEvery == 0;
+  st::JoinCounter gate(gated ? 1 : 0);
+  st::JoinCounter jc(1);
+  long sub = 0;
+  const unsigned home = st::worker_id();
+  st::fork([&] {
+    gate.join();  // a gated child suspends here: its parent resumes early
+    sub = deep_chain(dc, d - 1) + 1;
+    jc.finish();
+  });
+  // Only a steal resumes the fork's continuation on another worker (a
+  // suspending or finishing child pops the record on this one).
+  if (st::worker_id() != home) dc.stolen.fetch_add(1, std::memory_order_relaxed);
+  if (gated) gate.finish();
+  jc.join();
+  return sub;
+}
+
+class DeepChainTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(DeepChainTest, ParentRecordsInChildHeadersSurviveStealsAndSuspends) {
+  st::Runtime rt(GetParam());
+  DeepChain dc;
+  dc.want_stolen = GetParam() > 1 ? 16 : 0;
+  for (int round = 0; round < 2; ++round) {
+    dc.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    long result = -1;
+    rt.run([&] { result = deep_chain(dc, DeepChain::kDepth); });
+    ASSERT_EQ(result, DeepChain::kDepth) << "round " << round;
+  }
+  const st::RuntimeStats s = rt.stats();
+  EXPECT_EQ(s.heap_fallbacks, 0u);
+  EXPECT_GE(s.region_high_water, static_cast<std::uint64_t>(DeepChain::kDepth));
+  EXPECT_GE(s.suspends, 2u * (DeepChain::kDepth / DeepChain::kGateEvery));
+  EXPECT_EQ(s.steal_attempts, s.steals_received + s.steals_rejected + s.steals_cancelled)
+      << "received " << s.steals_received << " rejected " << s.steals_rejected
+      << " cancelled " << s.steals_cancelled;
+  if (GetParam() > 1) {
+    EXPECT_GT(dc.stolen.load(), 0);
+    EXPECT_GE(s.steals_received, static_cast<std::uint64_t>(dc.stolen.load()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, DeepChainTest, ::testing::Values(1u, 4u));
+
 }  // namespace

@@ -20,8 +20,8 @@ import argparse
 import json
 import sys
 
-# Counter rows (hierarchical-steal / idle-wake phases of fig22) carry raw
-# event counts in the ns_per_op field.  They are echoed with deltas so a
+# Counter rows (the steal / idle-wake phases of fig22) carry raw event
+# counts in the ns_per_op field.  They are echoed with deltas so a
 # locality shift is visible in the CI log, but never flagged as timing
 # regressions -- counts legitimately move with scheduling noise.
 INFORMATIONAL_PREFIXES = ("steal_", "idle_")

@@ -25,9 +25,12 @@
 //      forked child's completion read its old thread's worker this way).
 //      Rule: a body not marked `noinline` may not read `tl_worker` on
 //      both sides of a migration point (`->invoke(`, `suspend(`,
-//      `st_ctx_swap(`, `st_ctx_fork(`, or a future's `.get(`/`->get(`,
-//      which may suspend); the later read belongs in a noinline function
-//      (runtime.cpp's complete_child, future.hpp's cell_block_give).
+//      `st_ctx_swap(`, `st_ctx_fork(`, `fork(`, `spawn(`, or a future's
+//      `.get(`/`->get(`, which may suspend); the later read belongs in a
+//      noinline function (runtime.cpp's complete_child, future.hpp's
+//      cell_block_give).  `fork(` and `spawn(` count because the fork's
+//      stack switch is inlined into its caller, whose continuation may
+//      then resume on a thief.
 //
 // The scanner is a character-level pass: comments and string/char
 // literals are stripped (newlines preserved), brace depth is tracked,
@@ -48,6 +51,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -122,7 +126,7 @@ const char* const kSuspendMarkers[] = {
 /// Calls after which the same function body may run on another OS
 /// thread (rule 3); `invoke` and `get` count only as member calls.
 const char* const kMigrationMarkers[] = {
-    "suspend", "st_ctx_swap", "st_ctx_fork", "invoke", "get",
+    "suspend", "st_ctx_swap", "st_ctx_fork", "fork", "spawn", "invoke", "get",
 };
 
 /// Blocking io:: entry points (each suspends internally on would-block).
@@ -140,24 +144,24 @@ void scan(const std::string& file, const std::string& raw, std::vector<Violation
   int line = 1;
   std::vector<Region> stack;
   std::string header;  // text since the last `;` / `{` / `}` at this level
-  // For locals cached from tl_worker: name -> (binding line, suspension
-  // epoch at binding).  A use is a violation when the epoch has moved on
-  // (a marker was crossed since the bind); a rebind refreshes the epoch.
-  // The map is scoped to the enclosing function body (approximation:
-  // cleared when it closes).
+  // Per function body.  For locals cached from tl_worker: name ->
+  // (binding line, suspension epoch at binding); a use is a violation
+  // when the epoch has moved on (a marker was crossed since the bind), a
+  // rebind refreshes the epoch.  For rule 3: the migration count at the
+  // body's first tl_worker read (-1: none yet).  A nested function-like
+  // body (a lambda, e.g. the one handed to st::fork) gets a fresh state
+  // and gives the enclosing body's back when it closes, so the fork the
+  // lambda rides on still separates the reads around it.
   struct Bind { int line = 0; int epoch = 0; };
-  std::map<std::string, Bind> cached;
-  int epoch = 0;
-  // Rule 3, per function body: migration points crossed, and the count
-  // at the body's first tl_worker read (-1: none yet).
-  int migrations = 0;
-  int first_read = -1;
-  bool tls_flagged = false;
-  const auto reset_function = [&] {
-    cached.clear();
-    first_read = -1;
-    tls_flagged = false;
+  struct FunctionState {
+    std::map<std::string, Bind> cached;
+    int first_read = -1;
+    bool tls_flagged = false;
   };
+  FunctionState fn;
+  std::vector<FunctionState> enclosing;
+  int epoch = 0;
+  int migrations = 0;  // migration points crossed so far in the file
 
   const auto in_noinline = [&] {
     return !stack.empty() && stack.back().noinline;
@@ -181,16 +185,20 @@ void scan(const std::string& file, const std::string& raw, std::vector<Violation
                            first == "switch" || first == "catch" || first == "do" ||
                            first == "else";
       r.function = !control && header.find('(') != std::string::npos;
+      if (r.function) enclosing.push_back(std::exchange(fn, FunctionState{}));
       stack.push_back(r);
       header.clear();
       continue;
     }
     if (c == '}') {
       if (!stack.empty()) {
-        if (stack.back().function) reset_function();
+        if (stack.back().function && !enclosing.empty()) {
+          fn = std::move(enclosing.back());
+          enclosing.pop_back();
+        }
         stack.pop_back();
       }
-      if (stack.empty()) reset_function();
+      if (stack.empty()) fn = FunctionState{};
       header.clear();
       continue;
     }
@@ -246,10 +254,10 @@ void scan(const std::string& file, const std::string& raw, std::vector<Violation
       std::size_t a = skip_ws(text, i + std::strlen("tl_worker"));
       const bool write = a + 1 < text.size() && text[a] == '=' && text[a + 1] != '=';
       if (!write && !in_noinline()) {
-        if (first_read < 0) {
-          first_read = migrations;
-        } else if (migrations > first_read && !tls_flagged) {
-          tls_flagged = true;
+        if (fn.first_read < 0) {
+          fn.first_read = migrations;
+        } else if (migrations > fn.first_read && !fn.tls_flagged) {
+          fn.tls_flagged = true;
           out->push_back({file, line,
                           "tl_worker read on both sides of a migration point "
                           "in a body that may be inlined: the TLS address may "
@@ -266,12 +274,12 @@ void scan(const std::string& file, const std::string& raw, std::vector<Violation
         while (b > 0 && std::isspace(static_cast<unsigned char>(text[b - 1]))) --b;
         std::size_t e = b;
         while (b > 0 && ident_char(text[b - 1])) --b;
-        if (e > b) cached[text.substr(b, e - b)] = {line, epoch};
+        if (e > b) fn.cached[text.substr(b, e - b)] = {line, epoch};
       }
       continue;
     }
-    if (!cached.empty()) {
-      for (const auto& [name, bind] : cached) {
+    if (!fn.cached.empty()) {
+      for (const auto& [name, bind] : fn.cached) {
         if (bind.epoch == epoch) continue;  // no marker crossed since bind
         if (!word_at(text, i, name.c_str())) continue;
         // A rebinding after the suspension point is the fix, not a bug
@@ -363,6 +371,28 @@ int run_self_test() {
        "template <typename T> Future<T>::~Future() {\n"
        "  void* spare = cell_block_take(); consume(cell_->get());\n"
        "  cell_block_give(cell_); cell_block_give(spare); }\n", 0},
+      {"tl_worker read on both sides of an inlinable st::fork",
+       "void parent(JoinCounter& jc) {\n"
+       "  Worker* a = tl_worker; a->trace(1, 2);\n"
+       "  st::fork([&jc] { jc.finish(); });\n"
+       "  Worker* b = tl_worker; b->trace(3, 4);\n"
+       "  jc.join();\n"
+       "}\n", 1},
+      {"tl_worker after st::fork behind a noinline helper ok",
+       "[[gnu::noinline]] void trace_here(int ev) { tl_worker->trace(ev, 0); }\n"
+       "void parent(JoinCounter& jc) {\n"
+       "  Worker* a = tl_worker; a->trace(1, 2);\n"
+       "  st::fork([&jc] { jc.finish(); });\n"
+       "  trace_here(3);\n"
+       "  jc.join();\n"
+       "}\n", 0},
+      {"tl_worker read on both sides of spawn",
+       "long parent() {\n"
+       "  void* p = tl_worker->cell_cache().take();\n"
+       "  auto f = spawn([] { return 1L; });\n"
+       "  tl_worker->cell_cache().give(p);\n"
+       "  return 0;\n"
+       "}\n", 1},
       {"a plain invoke( call is no migration point",
        "void f(Fn* fn) { Worker* a = tl_worker; invoke(fn); Worker* b =\n"
        "  tl_worker; (void)a; (void)b; }\n", 0},

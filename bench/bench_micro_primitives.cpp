@@ -155,6 +155,7 @@ void BM_ForkFastPathMetered(benchmark::State& state) {
 BENCHMARK(BM_ForkFastPathMetered);
 
 // -- fork + join-counter round trip ---------------------------------------
+// The manual form: the child's finish() is one RMW on the counter.
 void BM_ForkJoinCounter(benchmark::State& state) {
   st::Runtime rt(1);
   rt.run([&] {
@@ -167,20 +168,35 @@ void BM_ForkJoinCounter(benchmark::State& state) {
 }
 BENCHMARK(BM_ForkJoinCounter);
 
+// -- counted fork + join --------------------------------------------------
+// st::fork(jc, f): a child that finishes under its parent touches the
+// counter not at all, and the fork site releases its stacklet inline, so
+// the round trip has no RMW and no indirect call (compare with
+// BM_ForkJoinCounter's manual finish()).
+void BM_ForkJoinCounted(benchmark::State& state) {
+  st::Runtime rt(1);
+  rt.run([&] {
+    for (auto _ : state) {
+      st::JoinCounter jc;
+      st::fork(jc, [] {});
+      jc.join();
+    }
+  });
+}
+BENCHMARK(BM_ForkJoinCounted);
+
 // -- fork/join down a fib-shaped tree -------------------------------------
 // BM_ForkFastPath's flat loop never returns past a fork, so it cannot see
 // what a fork's exit does to the return-stack buffer; in a recursion every
 // parent frame returns through the frames above it after its children
 // exit, and each stale RSB entry a fork leaves behind costs a mispredicted
-// return there.  Reported per fork (fib(n+1) - 1 of them per tree).
+// return there.  Reported per fork (fib(n+1) - 1 of them per tree).  The
+// forks are counted, the apps' shape.
 long tree_fib(int n) {
   if (n < 2) return n;
   long a = 0;
-  st::JoinCounter jc(1);
-  st::fork([&a, n, &jc] {
-    a = tree_fib(n - 1);
-    jc.finish();
-  });
+  st::JoinCounter jc;
+  st::fork(jc, [&a, n] { a = tree_fib(n - 1); });
   const long b = tree_fib(n - 2);
   jc.join();
   return a + b;
@@ -210,11 +226,8 @@ constexpr int kChainDepth = 16;
 
 __attribute__((noinline)) void fork_chain(int depth) {
   if (depth == 0) return;
-  st::JoinCounter jc(1);
-  st::fork([depth, &jc] {
-    fork_chain(depth - 1);
-    jc.finish();
-  });
+  st::JoinCounter jc;
+  st::fork(jc, [depth] { fork_chain(depth - 1); });
   jc.join();
 }
 
@@ -230,9 +243,10 @@ void BM_ForkJoinChain(benchmark::State& state) {
 BENCHMARK(BM_ForkJoinChain);
 
 // -- the future call: spawn + get ------------------------------------------
-// One cached cell, one handle, one set() exchange and the get() fast path
-// (the child finishes first under LIFO).  Compare with BM_ForkJoinCounter:
-// both pay one RMW per fork.
+// One cached cell, one handle and the get() fast path: the child finishes
+// first under LIFO, so the fork site marks the cell ready with a plain
+// store (no set() exchange).  Compare with BM_ForkJoinCounted: neither
+// pays an RMW per fork.
 void BM_SpawnGet(benchmark::State& state) {
   st::Runtime rt(1);
   rt.run([&] {

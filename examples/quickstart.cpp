@@ -3,8 +3,8 @@
 //   $ ./examples/quickstart [n]
 //
 // Shows the three ways to express the paper's "futures in calling
-// standards": raw fork + join counter (Figure 8), the st::spawn future
-// call, and a suspend/resume round trip.
+// standards": a fork counted by a join counter (Figure 8), the st::spawn
+// future call, and a suspend/resume round trip.
 #include <cstdio>
 #include <cstdlib>
 
@@ -17,13 +17,11 @@ namespace {
 long fib(int n) {
   if (n < 2) return n;
   long a = 0;
-  st::JoinCounter jc(1);
+  st::JoinCounter jc;
   // ASYNC_CALL: the child runs immediately (LIFO); our continuation is
-  // stealable by idle workers.
-  st::fork([&a, n, &jc] {
-    a = fib(n - 1);
-    jc.finish();
-  });
+  // stealable by idle workers.  The counter counts the child only if it
+  // detaches from us (we were stolen, or it suspended).
+  st::fork(jc, [&a, n] { a = fib(n - 1); });
   const long b = fib(n - 2);
   jc.join();  // suspends only if the child was stolen and is unfinished
   return a + b;
@@ -35,7 +33,7 @@ int main(int argc, char** argv) {
   const int n = argc > 1 ? std::atoi(argv[1]) : 26;
   st::Runtime rt(st::RuntimeConfig{});  // one worker; pass {4} for four
 
-  // 1. fork + join counter (the paper's Figure 8 pattern).
+  // 1. counted fork + join (the paper's Figure 8 pattern).
   rt.run([&] {
     std::printf("fib(%d) = %ld  (forks are asynchronous calls)\n", n, fib(n));
   });
@@ -51,12 +49,11 @@ int main(int argc, char** argv) {
   // later -- the primitive everything above is built from.
   rt.run([&] {
     st::Continuation paused;
-    st::JoinCounter done(1);
-    st::fork([&] {
+    st::JoinCounter done;
+    st::fork(done, [&] {
       std::printf("child: suspending...\n");
       st::suspend(&paused);
       std::printf("child: resumed, finishing\n");
-      done.finish();
     });
     std::printf("parent: child is parked; resuming it\n");
     st::resume(&paused);

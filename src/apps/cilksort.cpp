@@ -43,11 +43,8 @@ void sort_st(long* lo, long* hi, long* tmp) {
     return;
   }
   long* mid = lo + n / 2;
-  st::JoinCounter jc(1);
-  st::fork([lo, mid, tmp, &jc] {
-    sort_st(lo, mid, tmp);
-    jc.finish();
-  });
+  st::JoinCounter jc;
+  st::fork(jc, [lo, mid, tmp] { sort_st(lo, mid, tmp); });
   sort_st(mid, hi, tmp + (mid - lo));
   jc.join();
   merge_halves(lo, mid, hi, tmp);

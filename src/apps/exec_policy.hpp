@@ -13,6 +13,7 @@
 #include "cilk/cilkstyle.hpp"
 #include "runtime/runtime.hpp"
 #include "sync/join_counter.hpp"
+#include "sync/parallel_for.hpp"
 
 namespace apps {
 
@@ -37,28 +38,21 @@ struct SeqExec {
 struct StExec {
   template <typename... F>
   static void par(F&&... fs) {
-    constexpr int kN = sizeof...(fs);
-    st::JoinCounter jc(kN);
-    (st::fork([&fs, &jc] {
-      fs();
-      jc.finish();
-    }),
-     ...);
+    st::JoinCounter jc;
+    (st::fork(jc, [&fs] { fs(); }), ...);
     jc.join();
   }
 
+  /// One fine-grain thread per grain-sized chunk, through the public
+  /// blocked loop (one fork per chunk index).
   template <typename Body>
   static void par_for(std::size_t begin, std::size_t end, std::size_t grain, Body&& body) {
-    const std::size_t chunks = begin < end ? (end - begin + grain - 1) / grain : 0;
-    st::JoinCounter jc(static_cast<long>(chunks));
-    for (std::size_t i = begin; i < end; i += grain) {
-      const std::size_t hi = std::min(i + grain, end);
-      st::fork([&body, i, hi, &jc] {
-        body(i, hi);
-        jc.finish();
-      });
-    }
-    jc.join();
+    if (begin >= end) return;
+    const std::size_t chunks = (end - begin + grain - 1) / grain;
+    st::parallel_for(0, chunks, 1, [&body, begin, end, grain](std::size_t c) {
+      const std::size_t lo = begin + c * grain;
+      body(lo, std::min(lo + grain, end));
+    });
   }
 
   /// Feeley-style poll for fork-free leaf code: lets a thief take this

@@ -14,11 +14,8 @@ long seq(int n) {
 long run_st(int n) {
   if (n < 2) return n;
   long a = 0;
-  st::JoinCounter jc(1);
-  st::fork([&a, n, &jc] {
-    a = run_st(n - 1);
-    jc.finish();
-  });
+  st::JoinCounter jc;
+  st::fork(jc, [&a, n] { a = run_st(n - 1); });
   const long b = run_st(n - 2);
   jc.join();
   return a + b;

@@ -74,10 +74,9 @@ void search_st(const Instance& inst, std::size_t i, long cap, long value,
   }
   const Item& it = inst.items[i];
   if (i < kSpawnDepth && it.weight <= cap) {
-    st::JoinCounter jc(1);
-    st::fork([&inst, i, cap, value, &best, &it, &jc] {
+    st::JoinCounter jc;
+    st::fork(jc, [&inst, i, cap, value, &best, &it] {
       search_st(inst, i + 1, cap - it.weight, value + it.value, best);
-      jc.finish();
     });
     search_st(inst, i + 1, cap, value, best);
     jc.join();

@@ -104,8 +104,7 @@ std::vector<int> first_solution_st(int n) {
   FirstSolutionState state;
   st::JoinCounter jc;
   for (int c0 = 0; c0 < n; ++c0) {
-    jc.add();
-    st::fork([&state, n, c0, &jc] {
+    st::fork(jc, [&state, n, c0] {
       std::vector<int> placement(static_cast<std::size_t>(n), -1);
       placement[0] = c0;
       const std::uint32_t b0 = 1u << c0;
@@ -116,7 +115,6 @@ std::vector<int> first_solution_st(int n) {
           state.winner = std::move(placement);
         }
       }
-      jc.finish();
     });
     st::poll();
   }

@@ -26,17 +26,20 @@
 
 namespace st {
 
-thread_local Worker* tl_worker = nullptr;
+constinit thread_local Worker* tl_worker = nullptr;
 
 namespace {
 
 constexpr int kStealSpinLimit = 512;
 
+/// The exit message of a detached child: release its stacklet, run by
+/// the context it exits to.  (A joined child's fork site releases the
+/// stacklet inline instead.)
 void release_stacklet_cb(void* p) {
   auto* s = static_cast<Stacklet*>(p);
   // Owner fast path: a child that finished on its home worker pops its
-  // slot directly (LIFO completion, the overwhelmingly common case);
-  // migrated completions take the cross-worker retire path.
+  // slot directly; migrated completions take the cross-worker retire
+  // path.
   Worker* w = tl_worker;
   if (w != nullptr && s->region == &w->region()) {
     w->region().release_local(s);
@@ -130,8 +133,10 @@ void for_each_histogram(const std::vector<std::unique_ptr<Worker>>& workers, F&&
 
 namespace detail {
 
-void fork_prepare(Stacklet* s) {
+Stacklet* fork_begin(void (*hook)(void*), void* hook_arg) {
   Worker* w = tl_worker;
+  assert(w != nullptr && "st::fork must be called on a worker");
+  Stacklet* s = w->region().allocate();
   // The paper's "a fork costs about a procedure call": two plain
   // increments, one relaxed load of the poll word, one predictable
   // branch.  Trace events hide behind the word here; steal service,
@@ -140,20 +145,36 @@ void fork_prepare(Stacklet* s) {
   w->heartbeat();
   if (w->poll_word() & Worker::kPollFeatures) [[unlikely]] w->fork_poll_slow(s);
   s->parent.t_suspend = 0;  // heap-fallback headers start uninitialised
+  s->exit_msg.run = hook;   // run by complete_child only if detached
+  s->exit_msg.arg = hook_arg;
   w->fork_deque().push_head(&s->parent);
   w->maybe_publish_depth();
+  return s;
 }
 
 [[gnu::noinline]] ST_NO_TSAN_FRAME ContextExit complete_child(Stacklet* s) {
   Worker* w = tl_worker;
   ++w->stats().tasks_completed;
   w->trace(stu::kTraceTaskComplete, reinterpret_cast<std::uintptr_t>(s));
-  // The stacklet must outlive this stack; the destination context
-  // releases it through the header-resident message.
+  stu::OwnerDeque<Continuation*>& deque = w->fork_deque();
+  if (!deque.empty() && deque.peek(0) == &s->parent) [[likely]] {
+    // Joined: return to the fork site with the message it recognises;
+    // it releases the stacklet.  The hook in exit_msg stays unrun.
+    deque.pop_head();
+#if ST_TSAN_FIBERS
+    __tsan_switch_to_fiber(s->parent.fiber, 0);
+#endif
+    return {s->parent.sp, &s->exit_msg};
+  }
+  // Detached: the parent record was stolen or consumed by a suspend.
+  // Run the fork's hook while this stack is still live, then hand the
+  // stacklet's release to the context exited to, through the header
+  // (the stacklet must outlive this stack).
+  const SwitchMsg hook = s->exit_msg;
   s->exit_msg.run = &release_stacklet_cb;
   s->exit_msg.arg = s;
-  Continuation* parent =
-      w->fork_deque().empty() ? nullptr : w->fork_deque().pop_head();
+  if (hook.run != nullptr) hook.run(hook.arg);
+  Continuation* parent = deque.empty() ? nullptr : deque.pop_head();
   void* target = parent != nullptr ? parent->sp : w->scheduler_context().sp;
 #if ST_TSAN_FIBERS
   s->exit_msg.dead_fiber = __tsan_get_current_fiber();
@@ -161,14 +182,6 @@ void fork_prepare(Stacklet* s) {
       parent != nullptr ? parent->fiber : w->scheduler_context().fiber, 0);
 #endif
   return {target, &s->exit_msg};
-}
-
-Stacklet* allocate_stacklet() {
-  Worker* w = tl_worker;
-  assert(w != nullptr && "st::fork must be called on a worker");
-  // Allocation tracing rides the fork slow path (fork_poll_slow); with
-  // features off this is just the region bump.
-  return w->region().allocate();
 }
 
 [[noreturn]] void report_escaped_exception() noexcept {
@@ -623,6 +636,7 @@ void Worker::scheduler_loop() {
       using Root = std::function<void()>;
       static_assert(sizeof(Root) <= Stacklet::kClosureBytes);
       new (s->closure_area()) Root(std::move(root));
+      s->exit_msg = SwitchMsg{};  // a root has no completion hook
       void* sp = st_ctx_prepare(s->stack_base(), s->stack_bytes(),
                                 &detail::fork_entry<Root>, s);
       Continuation root_ctx{sp};

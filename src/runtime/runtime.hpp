@@ -2,9 +2,9 @@
 //
 //   st::Runtime rt(4);                       // four workers (OS threads)
 //   rt.run([] {
-//     st::JoinCounter jc(2);                 // see sync/join_counter.hpp
-//     st::fork([&] { work_a(); jc.finish(); });
-//     st::fork([&] { work_b(); jc.finish(); });
+//     st::JoinCounter jc;                    // see sync/join_counter.hpp
+//     st::fork(jc, [] { work_a(); });        // counted fork
+//     st::fork(jc, [] { work_b(); });
 //     jc.join();
 //   });
 //
@@ -221,24 +221,28 @@ class Runtime {
 
 namespace detail {
 
-Stacklet* allocate_stacklet();
-
-/// The fork's bookkeeping before its stack switch: counters, heartbeat,
-/// the features slow path, the push of s->parent on the fork deque and
-/// the decimated depth publication.  Out of line, and it returns before
-/// the switch, so it adds no return address to the nested chain.
-void fork_prepare(Stacklet* s);
+/// The fork's bookkeeping before its stack switch, in one out-of-line
+/// call: carve the child's stacklet, count the fork, beat the heartbeat,
+/// run the features slow path, store the completion hook (run, arg) in
+/// the header's exit_msg, push s->parent on the fork deque and publish
+/// the depth when due.  It returns before the switch, so it adds no
+/// return address to the nested chain.
+Stacklet* fork_begin(void (*hook)(void*), void* hook_arg);
 
 [[noreturn]] void report_escaped_exception() noexcept;
 
-/// Completion of a forked computation: picks the context to continue --
-/// the parent continuation at the fork-deque head, or the scheduler when
-/// the parent was stolen or this computation was dispatched from the
-/// scheduler loop.  Out of line so that its tl_worker read resolves the
-/// TLS address afresh: the computation may have migrated, and an address
-/// fork_entry computed before the closure ran would name the old OS
-/// thread's worker.  Under TSan this announces the fiber switch and then
-/// returns, so it carries no function-exit hook (ST_NO_TSAN_FRAME).
+/// Completion of a forked computation.  Joined -- its parent record
+/// s->parent is still at the fork-deque head, so the parent neither was
+/// stolen nor resumed early -- it pops the record and returns to the
+/// parent with &s->exit_msg untouched: the fork site recognises that
+/// message and finishes the fork inline.  Detached, it runs the hook
+/// fork_begin stored in exit_msg, rewrites exit_msg to "release this
+/// stacklet" and continues at the fork-deque head or the scheduler.
+/// Out of line so that its tl_worker read resolves the TLS address
+/// afresh: the computation may have migrated, and an address fork_entry
+/// computed before the closure ran would name the old OS thread's
+/// worker.  Under TSan this announces the fiber switch and then returns,
+/// so it carries no function-exit hook (ST_NO_TSAN_FRAME).
 [[gnu::noinline]] ST_NO_TSAN_FRAME ContextExit complete_child(Stacklet* s);
 
 /// Entry point of a forked computation running closure type Fn: called
@@ -271,37 +275,66 @@ ST_NO_TSAN_FRAME ContextExit fork_entry(void* raw_msg, void* arg) {
   return complete_child(s);
 }
 
-}  // namespace detail
-
-/// Asynchronous call: run `f` as a new fine-grain thread.  The child runs
-/// immediately (LIFO); the caller continues when the child finishes or
-/// suspends, or earlier on another worker if the caller's continuation is
-/// stolen.  The callable is copied/moved into the child (a stolen caller
-/// may leave the fork site before the child completes).  The stack switch
-/// is made here, at the fork site, with the caller's continuation in the
-/// child's stacklet header.
+/// Forks `f` with a completion hook and reports how the child ended.
+/// Returns true when the child finished under the caller (joined): its
+/// stacklet is released here, inline, and `hook` never runs.  Returns
+/// false when the child detached -- the caller was stolen, or the child
+/// suspended -- and the child's completion will run hook(hook_arg), on
+/// whichever worker it finishes, before it leaves its stack.  The hook
+/// must not switch contexts (it may resume(), which only enqueues).
+/// The stack switch is made here, at the fork site, with the caller's
+/// continuation in the child's stacklet header.
 template <typename F>
-void fork(F&& f) {
+bool fork_run(F&& f, void (*hook)(void*), void* hook_arg) {
   using Fn = std::decay_t<F>;
   static_assert(sizeof(Fn) <= Stacklet::kClosureBytes,
                 "fork closure too large: capture by pointer/reference instead");
-  Stacklet* s = detail::allocate_stacklet();
+  Stacklet* s = fork_begin(hook, hook_arg);
   new (s->closure_area()) Fn(std::forward<F>(f));
-  detail::fork_prepare(s);
   // s->parent.sp is written by st_ctx_fork before the stack switch, and
   // only this worker dequeues the record (polling protocol), sequenced
   // after the switch -- so the head entry is never observed with an
   // unset sp.
   char* child_top = s->stack_base() + s->stack_bytes();
 #if ST_TSAN_FIBERS
+  void* child_fiber = __tsan_create_fiber(0);
   s->parent.fiber = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(__tsan_create_fiber(0), 0);
+  __tsan_switch_to_fiber(child_fiber, 0);
 #endif
   auto* back = static_cast<SwitchMsg*>(
-      st_ctx_fork(&s->parent.sp, child_top, &detail::fork_entry<Fn>, s));
-  // Resumed: the child finished or suspended on this worker, or this
-  // continuation was stolen and now runs on a thief.  `s` may be gone.
+      st_ctx_fork(&s->parent.sp, child_top, &fork_entry<Fn>, s));
+  if (back == &s->exit_msg) [[likely]] {
+    // Joined: the child returned straight here, on this worker, and its
+    // stacklet came from this worker's region -- the owner-side release
+    // needs no TLS read.
+#if ST_TSAN_FIBERS
+    __tsan_destroy_fiber(child_fiber);
+#endif
+    if (StackRegion* r = s->region) [[likely]] {
+      r->release_local(s);
+    } else {
+      StackRegion::release(s);
+    }
+    return true;
+  }
+  // Detached: this continuation was stolen and now runs on a thief, or
+  // the child suspended.  `s` may be gone.
   run_switch_msg(back);
+  return false;
+}
+
+}  // namespace detail
+
+/// Asynchronous call: run `f` as a new fine-grain thread.  The child runs
+/// immediately (LIFO); the caller continues when the child finishes or
+/// suspends, or earlier on another worker if the caller's continuation is
+/// stolen.  The callable is copied/moved into the child (a stolen caller
+/// may leave the fork site before the child completes).  To wait for
+/// the child, fork it counted: st::fork(JoinCounter&, f)
+/// (sync/join_counter.hpp).
+template <typename F>
+void fork(F&& f) {
+  detail::fork_run(std::forward<F>(f), nullptr, nullptr);
 }
 
 /// Blocks the current fine-grain thread, filling *c so that resume(c) /

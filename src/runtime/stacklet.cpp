@@ -31,10 +31,6 @@ StackRegion::~StackRegion() {
   if (base_ != nullptr) ::munmap(base_, slot_bytes_ * slots_);
 }
 
-Stacklet* StackRegion::header_of(std::size_t slot) noexcept {
-  return reinterpret_cast<Stacklet*>(base_ + slot * slot_bytes_);
-}
-
 Stacklet* StackRegion::init_slot(std::size_t slot) noexcept {
   Stacklet* s = header_of(slot);
   s->region = this;
@@ -43,19 +39,21 @@ Stacklet* StackRegion::init_slot(std::size_t slot) noexcept {
   return s;
 }
 
-Stacklet* StackRegion::allocate() {
+Stacklet* StackRegion::allocate_slow() {
   reclaim_top();
   const std::size_t t = top();
-  if (t < slots_) [[likely]] {
-    const std::size_t slot = t;
+  if (t < slots_) {
     set_top(t + 1);
     if (t + 1 > high_water()) {
       high_water_.store(t + 1, std::memory_order_relaxed);
     }
-    if (t + 1 > mapped_top_) mapped_top_ = t + 1;
-    state_[slot].store(kLive, std::memory_order_relaxed);
+    state_[t].store(kLive, std::memory_order_relaxed);
     tick(bump_allocs_);
-    return init_slot(slot);
+    // Below mapped_top_ the header is still in place (the inline path
+    // of allocate() missed only because the top slot was retired).
+    if (t < mapped_top_) return header_of(t);
+    mapped_top_ = t + 1;
+    return init_slot(t);
   }
   // Bump pointer pinned at capacity by a live top frame: scavenge a
   // retired slot sandwiched below it.  The acquire CAS synchronizes with
@@ -71,7 +69,7 @@ Stacklet* StackRegion::allocate() {
                                                std::memory_order_acquire,
                                                std::memory_order_relaxed)) {
         tick(scavenges_);
-        return init_slot(slot);
+        return header_of(slot);  // below the top: its header is in place
       }
     }
   }

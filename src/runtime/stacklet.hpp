@@ -102,8 +102,21 @@ class StackRegion {
   /// Owner-only: carve the next stacklet at the physical top (after
   /// shrinking past any retired top slots).  When the bump pointer is
   /// pinned at capacity, scavenges a retired slot below it; only when
-  /// that also fails does it fall back to the heap.
-  Stacklet* allocate();
+  /// that also fails does it fall back to the heap.  Inline part: the
+  /// bump into an already-touched slot whose header (region, slot,
+  /// bytes) is still in place -- those fields never change for a region
+  /// slot, so only a fresh or trimmed slot has them written.
+  Stacklet* allocate() {
+    const std::size_t t = top();
+    if (t != 0 && t < mapped_top_ &&
+        state_[t - 1].load(std::memory_order_acquire) != kRetired) [[likely]] {
+      set_top(t + 1);
+      state_[t].store(kLive, std::memory_order_relaxed);
+      tick(bump_allocs_);
+      return header_of(t);
+    }
+    return allocate_slow();
+  }
 
   /// Any worker: finish a stacklet.  Top slots are not eagerly popped
   /// here (that is the owner's shrink); the slot is marked retired.
@@ -182,8 +195,14 @@ class StackRegion {
   }
 
  private:
-  Stacklet* header_of(std::size_t slot) noexcept;
+  Stacklet* header_of(std::size_t slot) noexcept {
+    return reinterpret_cast<Stacklet*>(base_ + slot * slot_bytes_);
+  }
   Stacklet* init_slot(std::size_t slot) noexcept;
+  /// allocate() past its inline case: shrink first, then carve (writing
+  /// the header of a slot at or above mapped_top_), scavenge or fall
+  /// back to the heap.
+  Stacklet* allocate_slow();
 
   void set_top(std::size_t t) noexcept { top_.store(t, std::memory_order_relaxed); }
   /// Owner-only counter bump: plain load + store, no RMW.

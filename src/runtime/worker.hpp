@@ -404,6 +404,9 @@ class alignas(stu::kCacheLine) Worker {
 };
 
 /// The worker executing the current OS thread, or nullptr outside workers.
-extern thread_local Worker* tl_worker;
+/// constinit tells every translation unit that it needs no dynamic TLS
+/// initialisation, so a read is a plain %fs-relative load with no call
+/// or test of a TLS init function.
+extern constinit thread_local Worker* tl_worker;
 
 }  // namespace st

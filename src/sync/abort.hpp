@@ -11,8 +11,9 @@
 // Pattern (first-solution search):
 //
 //   st::AbortGroup g;
-//   st::fork([&] { if (search(a) && g.request_abort()) publish(a); jc.finish(); });
-//   st::fork([&] { if (search(b) && g.request_abort()) publish(b); jc.finish(); });
+//   st::JoinCounter jc;
+//   st::fork(jc, [&] { if (search(a) && g.request_abort()) publish(a); });
+//   st::fork(jc, [&] { if (search(b) && g.request_abort()) publish(b); });
 //   jc.join();              // losers noticed g.aborted() and unwound early
 #pragma once
 

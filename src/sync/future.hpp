@@ -14,11 +14,15 @@
 // when the value is in.
 //
 // Ownership.  Handles (Future) count themselves in refs_.  A spawned child
-// holds no handle: it keeps a raw cell pointer, and its set() exchange is
-// its last touch of the cell unless that exchange finds kAbandoned -- the
-// mark the last handle leaves when it drops before the value arrives --
-// in which case set() frees the cell.  A spawn therefore costs one RMW.
-// Cells of up to CellCache::kBlockBytes come from a per-worker cache.
+// holds no handle: it keeps a raw cell pointer and only emplaces the
+// value.  If it finished under its parent (joined), spawn() itself marks
+// the cell kReady with a plain store: no handle copy and no waiter can
+// exist before spawn() returns.  A detached child's completion hook runs
+// set()'s exchange instead, its last touch of the cell unless that
+// exchange finds kAbandoned -- the mark the last handle leaves when it
+// drops before the value arrives -- in which case it frees the cell.  A
+// joined spawn therefore costs no RMW, a detached one one.  Cells of up
+// to CellCache::kBlockBytes come from a per-worker cache.
 #pragma once
 
 #include <atomic>
@@ -80,25 +84,7 @@ class FutureCell {
   void set(T value) {
     assert(!ready() && "future set twice");
     value_.emplace(std::move(value));
-    hb::acq_rel(this, stu::kSchedHbJoin);
-    const std::uintptr_t prev = state_.exchange(kReady, std::memory_order_acq_rel);
-    // No waiter: a spawned producer must not touch the cell again (the
-    // handle may free it at once).
-    if (prev == kEmpty) return;
-    hb::acquire(this, stu::kSchedHbJoin);
-    if (prev == kAbandoned) [[unlikely]] {
-      // Every handle is gone: the producer frees.
-      destroy(this);
-      return;
-    }
-    // The waiters hold handles, so the cell is live until they run.  A
-    // woken waiter may run (and free its node) at once: read the link
-    // before each resume.
-    for (auto* w = reinterpret_cast<Waiter*>(prev); w != nullptr;) {
-      Waiter* next = w->next;
-      resume(&w->c);
-      w = next;
-    }
+    publish();
   }
 
   bool ready() const { return state_.load(std::memory_order_acquire) == kReady; }
@@ -125,6 +111,32 @@ class FutureCell {
     Waiter* next = nullptr;
     FutureCell* cell = nullptr;
   };
+
+  /// The value is in: mark the cell ready and wake every waiter.
+  void publish() {
+    hb::acq_rel(this, stu::kSchedHbJoin);
+    const std::uintptr_t prev = state_.exchange(kReady, std::memory_order_acq_rel);
+    // No waiter: a spawned producer must not touch the cell again (the
+    // handle may free it at once).
+    if (prev == kEmpty) return;
+    hb::acquire(this, stu::kSchedHbJoin);
+    if (prev == kAbandoned) [[unlikely]] {
+      // Every handle is gone: the producer frees.
+      destroy(this);
+      return;
+    }
+    // The waiters hold handles, so the cell is live until they run.  A
+    // woken waiter may run (and free its node) at once: read the link
+    // before each resume.
+    for (auto* w = reinterpret_cast<Waiter*>(prev); w != nullptr;) {
+      Waiter* next = w->next;
+      resume(&w->c);
+      w = next;
+    }
+  }
+
+  /// A spawned child's completion hook, run only if it detached.
+  static void publish_detached(void* p) { static_cast<FutureCell*>(p)->publish(); }
 
   static FutureCell* create() {
     if constexpr (cached()) {
@@ -243,7 +255,11 @@ Future<R> spawn(F&& f) {
   Future<R> handle;
   FutureCell<R>* cell = handle.cell_;
   cell->producer_pending_ = true;
-  fork([cell, fn = std::forward<F>(f)]() mutable { cell->set(fn()); });
+  if (detail::fork_run([cell, fn = std::forward<F>(f)]() mutable { cell->value_.emplace(fn()); },
+                       &FutureCell<R>::publish_detached, cell)) [[likely]] {
+    // Joined: the value is in and only this frame knows the cell.
+    cell->state_.store(FutureCell<R>::kReady, std::memory_order_release);
+  }
   return handle;
 }
 

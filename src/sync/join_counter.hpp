@@ -21,10 +21,21 @@
 // and cannot become anyone's parent).  Neither side touches the counter
 // after its RMW unless it is the one that wakes, so a joiner may destroy
 // the counter as soon as join() returns.
+//
+// Counted forks.  st::fork(jc, f) counts only the children that detach
+// from their parent: a child that finishes under it -- the common case
+// -- touches the counter not at all.  A detached child's completion hook
+// does finish()'s fetch_sub and, if it is the last, wakes the joiner
+// deferred (it runs inside the child's completion, which cannot become
+// the joiner's parent).  The parent adds the child once it resumes
+// detached, so the hook's subtraction may come first and leave the count
+// at -1 for a while; that is legal because the parent's add precedes its
+// join() -- which is why only the joining thread may fork counted.
 #pragma once
 
 #include <atomic>
 #include <cassert>
+#include <utility>
 
 #include "runtime/annotate.hpp"
 #include "runtime/runtime.hpp"
@@ -47,6 +58,8 @@ class JoinCounter {
     count_.fetch_add(k, std::memory_order_acq_rel);
   }
 
+  /// Outstanding tasks.  A counted fork's detached child may subtract
+  /// before its parent adds, so this can read -1 (see above).
   long outstanding() const {
     const long n = count_.load(std::memory_order_acquire);
     hb::acquire(this, stu::kSchedHbJoin);
@@ -56,23 +69,16 @@ class JoinCounter {
   /// Declares the completion of one task; wakes the waiter when the
   /// count reaches zero.
   void finish() {
-    hb::acq_rel(this, stu::kSchedHbJoin);
-    const long prev = count_.fetch_sub(1, std::memory_order_acq_rel);
-    assert(prev % kWaiterBias != 0 && "finish() without matching add()");
-    if (prev != kWaiterBias + 1) return;
-    // Last finisher with the waiter armed.  The waiter stays suspended
-    // until we wake it, so the counter is still alive here.
-    hb::acquire(this, stu::kSchedHbJoin);
-    hb::access(&waiting_, stu::kSchedAccessRead, hb::kSiteJoinWaiter);
-    Continuation* c = waiting_;
+    if (!count_down()) return;
     if (policy_ == WakePolicy::kDeferred) {
-      resume(c);
+      resume(waiting_);
     } else {
-      restart(c);
+      restart(waiting_);
     }
   }
 
-  /// Waits for the count to reach zero.  At most one waiter.
+  /// Waits for the count to reach zero.  At most one waiter; a counter
+  /// with counted forks is joined by the thread that forked them.
   void join() {
     if (count_.load(std::memory_order_acquire) == 0) {
       hb::acquire(this, stu::kSchedHbJoin);
@@ -82,8 +88,33 @@ class JoinCounter {
   }
 
  private:
+  template <typename F>
+  friend void fork(JoinCounter& jc, F&& f);
+
   /// Larger than any count; marks "waiter armed".
   static constexpr long kWaiterBias = 1L << 40;
+
+  /// finish()'s RMW.  True for the last finisher with the waiter armed,
+  /// which must wake it: the waiter stays suspended until then, so the
+  /// counter is still alive.
+  bool count_down() {
+    hb::acq_rel(this, stu::kSchedHbJoin);
+    const long prev = count_.fetch_sub(1, std::memory_order_acq_rel);
+    // Unarmed, 0 is a legal prior count: a counted fork's detached child
+    // may have subtracted before its parent added.
+    assert(prev != kWaiterBias && "finish() without matching add()");
+    if (prev != kWaiterBias + 1) return false;
+    hb::acquire(this, stu::kSchedHbJoin);
+    hb::access(&waiting_, stu::kSchedAccessRead, hb::kSiteJoinWaiter);
+    return true;
+  }
+
+  /// A counted fork's completion hook, run only by a detached child:
+  /// finish() with a deferred wake whatever the policy.
+  static void finish_detached(void* p) {
+    auto* self = static_cast<JoinCounter*>(p);
+    if (self->count_down()) resume(self->waiting_);
+  }
 
   [[gnu::noinline]] void join_slow() {
     Continuation c;
@@ -111,5 +142,16 @@ class JoinCounter {
   Continuation* waiting_ = nullptr;
   WakePolicy policy_;
 };
+
+/// Counted fork: runs `f` as a forked child that jc.join() waits for,
+/// without an add()/finish() pair.  The child joined under its caller
+/// costs the counter nothing; a detached child is counted (see above).
+/// Precondition: the caller is the thread that will join() jc.
+template <typename F>
+void fork(JoinCounter& jc, F&& f) {
+  if (!detail::fork_run(std::forward<F>(f), &JoinCounter::finish_detached, &jc)) [[unlikely]] {
+    jc.add();
+  }
+}
 
 }  // namespace st

@@ -20,12 +20,11 @@ template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain, Body&& body) {
   if (begin >= end) return;
   if (grain == 0) grain = 1;
-  JoinCounter jc(static_cast<long>((end - begin + grain - 1) / grain));
+  JoinCounter jc;
   for (std::size_t lo = begin; lo < end; lo += grain) {
     const std::size_t hi = std::min(lo + grain, end);
-    fork([&body, lo, hi, &jc] {
+    fork(jc, [&body, lo, hi] {
       for (std::size_t i = lo; i < hi; ++i) body(i);
-      jc.finish();
     });
   }
   jc.join();
@@ -46,11 +45,8 @@ T parallel_reduce(std::size_t begin, std::size_t end, std::size_t grain, T ident
   }
   const std::size_t mid = begin + n / 2;
   T left = identity;
-  JoinCounter jc(1);
-  fork([&, begin, mid] {
-    left = parallel_reduce(begin, mid, grain, identity, map, combine);
-    jc.finish();
-  });
+  JoinCounter jc;
+  fork(jc, [&, begin, mid] { left = parallel_reduce(begin, mid, grain, identity, map, combine); });
   T right = parallel_reduce(mid, end, grain, identity, map, combine);
   jc.join();
   return combine(left, right);

@@ -50,7 +50,7 @@ class OwnerDeque {
 
   /// Push at the head (the logical stack top side; newest fork record).
   void push_head(T v) {
-    grow_if_full();
+    if (size() == buf_.size()) [[unlikely]] grow();
     head_ = (head_ + mask()) & mask();  // head_ - 1 mod capacity
     buf_[head_] = std::move(v);
     set_count(size() + 1);
@@ -58,7 +58,7 @@ class OwnerDeque {
 
   /// Push at the tail (oldest side; where resumed threads enter under LTC).
   void push_tail(T v) {
-    grow_if_full();
+    if (size() == buf_.size()) [[unlikely]] grow();
     buf_[(head_ + size()) & mask()] = std::move(v);
     set_count(size() + 1);
   }
@@ -102,9 +102,10 @@ class OwnerDeque {
 
   void set_count(std::size_t n) noexcept { count_.store(n, std::memory_order_relaxed); }
 
-  void grow_if_full() {
+  /// Doubles the ring; only a push onto a full ring gets here, so the
+  /// pushes keep just the size test inline.
+  [[gnu::noinline]] void grow() {
     const std::size_t n = size();
-    if (n < buf_.size()) return;
     std::vector<T> bigger(buf_.size() * 2);
     for (std::size_t i = 0; i < n; ++i) bigger[i] = std::move(buf_[(head_ + i) & mask()]);
     buf_ = std::move(bigger);

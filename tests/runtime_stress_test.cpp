@@ -394,4 +394,69 @@ TEST_P(DeepChainTest, ParentRecordsInChildHeadersSurviveStealsAndSuspends) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, DeepChainTest, ::testing::Values(1u, 4u));
 
+// Counted forks, st::fork(jc, f), join in two ways.  A child that
+// finishes under its parent touches the counter not at all; a detached
+// one is counted -- its parent adds it when it resumes, and its
+// completion hook subtracts it and wakes the joiner.  In this fib tree
+// every kGateEvery-th child first suspends on a gate its parent opens
+// after the fork returns (detached by suspending); on 4 workers thieves
+// also take parents at the children's entry polls (detached by a steal).
+struct CountedTree {
+  static constexpr long kGateEvery = 64;
+  std::atomic<long> forks{0};
+};
+
+long counted_fib(CountedTree& t, int n) {
+  if (n < 2) return n;
+  const bool gated = t.forks.fetch_add(1, std::memory_order_relaxed) % CountedTree::kGateEvery == 0;
+  st::JoinCounter gate(gated ? 1 : 0);
+  st::JoinCounter jc;
+  long a = 0;
+  st::fork(jc, [&] {
+    gate.join();  // a gated child suspends here: its parent resumes early
+    a = counted_fib(t, n - 1);
+  });
+  if (gated) gate.finish();
+  const long b = counted_fib(t, n - 2);
+  jc.join();
+  return a + b;
+}
+
+class CountedForkTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(CountedForkTest, JoinedAndDetachedChildrenAreCountedExactly) {
+  constexpr int kN = 20;  // fib(20) = 6765, 10945 forks per tree
+  st::Runtime rt(GetParam());
+  CountedTree tree;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int rounds = 0;
+  do {
+    bool reused_ok = true;
+    long result = -1;
+    rt.run([&] {
+      // One counter for the whole round, reused after each join.
+      st::JoinCounter root;
+      for (int i = 0; i < 3; ++i) {
+        st::fork(root, [&] { result = counted_fib(tree, kN); });
+        root.join();
+        reused_ok = reused_ok && root.outstanding() == 0 && result == 6765;
+      }
+    });
+    ASSERT_EQ(result, 6765) << "round " << rounds;
+    ASSERT_TRUE(reused_ok) << "round " << rounds;
+    ++rounds;
+  } while (GetParam() > 1 && rt.stats().steals_received == 0 &&
+           std::chrono::steady_clock::now() < deadline);
+  const st::RuntimeStats s = rt.stats();
+  EXPECT_EQ(s.steal_attempts, s.steals_received + s.steals_rejected + s.steals_cancelled)
+      << "received " << s.steals_received << " rejected " << s.steals_rejected
+      << " cancelled " << s.steals_cancelled;
+  EXPECT_GE(s.suspends, static_cast<std::uint64_t>(rounds) * 3 * 10945 / CountedTree::kGateEvery);
+  if (GetParam() > 1) {
+    EXPECT_GT(s.steals_received, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, CountedForkTest, ::testing::Values(1u, 4u));
+
 }  // namespace

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <thread>
@@ -306,6 +307,40 @@ TEST_P(SyncWorkerTest, BarrierSynchronizesRounds) {
   });
 }
 
+TEST_P(SyncWorkerTest, CountedForksMixWithManualAddAndFinish) {
+  // One counter carries counted forks (some suspend before finishing, so
+  // they detach) and manually counted ones (add() up front, finish() in
+  // the child); the joiner waits for both kinds, and the counter is
+  // reused round after round.
+  st::Runtime rt(GetParam());
+  constexpr int kEach = 24;
+  rt.run([] {
+    st::JoinCounter jc;
+    for (int round = 0; round < 20; ++round) {
+      std::atomic<long> sum{0};
+      std::unique_ptr<st::JoinCounter[]> gates(new st::JoinCounter[kEach]);
+      jc.add(kEach);
+      for (int i = 0; i < kEach; ++i) {
+        if (i % 3 == 0) gates[i].add();
+        st::fork(jc, [&, i] {
+          gates[i].join();  // a gated child suspends: its parent resumes early
+          sum.fetch_add(i, std::memory_order_relaxed);
+        });
+        st::fork([&, i] {
+          sum.fetch_add(1000 * i, std::memory_order_relaxed);
+          jc.finish();
+        });
+        if (i % 3 == 0) gates[i].finish();
+      }
+      jc.join();
+      const long want = (kEach - 1) * kEach / 2 * 1001L;
+      ASSERT_EQ(sum.load(), want) << "round " << round;
+      ASSERT_EQ(jc.outstanding(), 0) << "round " << round;
+    }
+  });
+  EXPECT_GE(rt.stats().suspends, 20u * (kEach / 3));  // the gated children detached
+}
+
 INSTANTIATE_TEST_SUITE_P(Workers, SyncWorkerTest, ::testing::Values(1u, 2u, 4u));
 
 // -- lock-free protocol races at P=4 ------------------------------------------
@@ -576,6 +611,21 @@ long annotated_jc_fib(int n, st::WakePolicy policy) {
   return a + b;
 }
 
+long annotated_counted_fib(int n) {
+  if (n < 2) return n;
+  long a = 0;
+  st::JoinCounter jc;
+  st::fork(jc, [&a, n] {
+    const long v = annotated_counted_fib(n - 1);
+    st::hb::access(&a, stu::kSchedAccessWrite, kSiteResult);
+    a = v;
+  });
+  const long b = annotated_counted_fib(n - 2);
+  jc.join();
+  st::hb::access(&a, stu::kSchedAccessRead, kSiteResult);
+  return a + b;
+}
+
 long annotated_future_fib(int n) {
   if (n < 2) return n;
   // The result cell lives in this frame, like annotated_jc_fib's: a heap
@@ -598,6 +648,7 @@ TEST(SyncAnnotated, JoinCounterAndFutureEdgesLeaveNoRace) {
   const std::function<long()> kernels[] = {
       [] { return annotated_jc_fib(16, st::WakePolicy::kDeferred); },
       [] { return annotated_jc_fib(16, st::WakePolicy::kImmediate); },
+      [] { return annotated_counted_fib(16); },
       [] { return annotated_future_fib(16); },
   };
   for (const auto& kernel : kernels) {

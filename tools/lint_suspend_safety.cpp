@@ -28,9 +28,9 @@
 //      `st_ctx_swap(`, `st_ctx_fork(`, `fork(`, `spawn(`, or a future's
 //      `.get(`/`->get(`, which may suspend); the later read belongs in a
 //      noinline function (runtime.cpp's complete_child, future.hpp's
-//      cell_block_give).  `fork(` and `spawn(` count because the fork's
-//      stack switch is inlined into its caller, whose continuation may
-//      then resume on a thief.
+//      cell_block_give).  `fork(` (plain or counted, `fork(jc, f)`) and
+//      `spawn(` count because the fork's stack switch is inlined into
+//      its caller, whose continuation may then resume on a thief.
 //
 // The scanner is a character-level pass: comments and string/char
 // literals are stripped (newlines preserved), brace depth is tracked,
@@ -375,6 +375,13 @@ int run_self_test() {
        "void parent(JoinCounter& jc) {\n"
        "  Worker* a = tl_worker; a->trace(1, 2);\n"
        "  st::fork([&jc] { jc.finish(); });\n"
+       "  Worker* b = tl_worker; b->trace(3, 4);\n"
+       "  jc.join();\n"
+       "}\n", 1},
+      {"tl_worker read on both sides of a counted st::fork",
+       "void parent(JoinCounter& jc) {\n"
+       "  Worker* a = tl_worker; a->trace(1, 2);\n"
+       "  st::fork(jc, [] { work(); });\n"
        "  Worker* b = tl_worker; b->trace(3, 4);\n"
        "  jc.join();\n"
        "}\n", 1},

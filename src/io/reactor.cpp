@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include "runtime/annotate.hpp"
-#include "util/env.hpp"
 #include "util/sched_log.hpp"
 #include "util/metrics.hpp"
 
@@ -57,11 +56,7 @@ Reactor& Reactor::current() {
   return *static_cast<Reactor*>(p);
 }
 
-Reactor::Reactor(Worker& w)
-    : w_(w),
-      batch_(static_cast<int>(stu::env_long("ST_IO_BATCH", 128))) {
-  if (batch_ < 1) batch_ = 1;
-  if (batch_ > 4096) batch_ = 4096;
+Reactor::Reactor(Worker& w) : w_(w) {
   epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
   evfd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   tfd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK);
@@ -75,7 +70,6 @@ Reactor::Reactor(Worker& w)
   ::epoll_ctl(epfd_, EPOLL_CTL_ADD, evfd_, &ev);
   ev.data.fd = tfd_;
   ::epoll_ctl(epfd_, EPOLL_CTL_ADD, tfd_, &ev);
-  evbuf_.resize(static_cast<std::size_t>(batch_));
 }
 
 Reactor::~Reactor() {
@@ -127,7 +121,7 @@ void Reactor::poke_owner() noexcept {
 int Reactor::poll(long timeout_us) {
   int ms = 0;
   if (timeout_us > 0) ms = static_cast<int>((timeout_us + 999) / 1000);
-  const int n = ::epoll_wait(epfd_, evbuf_.data(), batch_, ms);
+  const int n = ::epoll_wait(epfd_, evbuf_.data(), static_cast<int>(evbuf_.size()), ms);
   if (n <= 0) return 0;  // timeout, EINTR: the caller's loop retries
   ++w_.stats().io_wakeups;
   if (stu::metrics_enabled()) {
@@ -248,8 +242,7 @@ void Reactor::deliver(FdState::Waiter* w, std::uint32_t events) {
   }
   w_.trace(stu::kTraceIoReady, reinterpret_cast<std::uintptr_t>(w), events);
   // Io-readiness delivery order is a scheduling decision (which waiter
-  // inside an epoll batch resumes first).  Recorded for the schedule log;
-  // replay cannot steer the kernel, so these interleave as context only.
+  // inside an epoll batch resumes first), recorded for the schedule log.
   if (stu::sched_recording()) [[unlikely]] {
     stu::sched_record(stu::kSchedIoReady, static_cast<std::uint16_t>(w_.id()),
                       stu::kTraceSrcRuntime, reinterpret_cast<std::uintptr_t>(w),

@@ -32,6 +32,7 @@
 #error "src/io is Linux-only (epoll/timerfd/eventfd)"
 #endif
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <queue>
@@ -103,8 +104,8 @@ struct FdState {
 };
 
 /// The per-worker reactor (see file header).  Implements st::IoPoller so
-/// the runtime's idle backoff can fold epoll_wait into stage 3 without a
-/// link-time dependency on this library.
+/// the runtime's idle sleep can block in epoll_wait without a link-time
+/// dependency on this library.
 class Reactor final : public IoPoller {
  public:
   /// The calling worker's reactor, created and installed on first use.
@@ -154,8 +155,9 @@ class Reactor final : public IoPoller {
   int epfd_ = -1;
   int evfd_ = -1;  ///< wake() target, level-triggered in epfd_
   int tfd_ = -1;   ///< timer heap's backing timerfd, level-triggered
-  int batch_;      ///< ST_IO_BATCH: epoll_wait event buffer size
-  std::vector<epoll_event> evbuf_;
+  /// One epoll_wait's event buffer.  128 was picked by measurement
+  /// (EXPERIMENTS.md, "Idle path").
+  std::array<epoll_event, 128> evbuf_;
 
   stu::Spinlock reg_lock_;
   std::unordered_map<int, std::shared_ptr<FdState>> reg_;

@@ -11,15 +11,12 @@
 #include <string>
 #include <string_view>
 
-#if defined(__linux__)
 #include <linux/futex.h>
 #include <sys/syscall.h>
 #include <unistd.h>
-#endif
 
 #include "runtime/annotate.hpp"
 #include "runtime/monitor.hpp"
-#include "util/env.hpp"
 #include "util/metrics.hpp"
 #include "util/sched_log.hpp"
 #include "util/trace_export.hpp"
@@ -48,29 +45,20 @@ void release_stacklet_cb(void* p) {
   }
 }
 
-// -- futex plumbing for the parked-thief idle path ---------------------
-// Parking is Linux-only (SYS_futex); elsewhere the idle path tops out at
-// the yield stage.  The timeout is a belt-and-braces bound on any wake
-// race the epoch protocol does not close (see Runtime::park_worker).
-#if defined(__linux__)
+// -- futex plumbing for the idle sleep ----------------------------------
+// The native runtime is Linux-only already (ELF context switch), so the
+// sleep uses SYS_futex directly.
 void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t expected,
                 long timeout_us) {
-  timespec ts;
-  timespec* tsp = nullptr;
-  if (timeout_us > 0) {
-    ts.tv_sec = timeout_us / 1000000;
-    ts.tv_nsec = (timeout_us % 1000000) * 1000;
-    tsp = &ts;
-  }
+  timespec ts{timeout_us / 1000000, (timeout_us % 1000000) * 1000};
   ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
-            FUTEX_WAIT_PRIVATE, expected, tsp, nullptr, 0);
+            FUTEX_WAIT_PRIVATE, expected, &ts, nullptr, 0);
 }
 
 void futex_wake_all(std::atomic<std::uint32_t>& word) {
   ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
             FUTEX_WAKE_PRIVATE, INT_MAX, nullptr, nullptr, 0);
 }
-#endif
 
 // -- crash-dump registry of live runtimes ------------------------------
 // The fatal-signal hook (util/metrics.hpp) walks this to print each live
@@ -399,43 +387,12 @@ void Worker::sample_depth() noexcept {
 }
 
 bool Worker::try_steal_and_run() {
-  // Schedule record/replay seam (util/sched_log.hpp).  Recording logs
-  // one kSchedVictim per *posted* probe (after the port CAS, so every
-  // logged probe has a matching kSchedStealResult) -- idle-loop calls
-  // that found no victim are not logged, keeping spin logs small.
-  // Replay consumes the probe/outcome pair up front and steers toward
-  // them: the recorded victim is forced, a recorded "served" suppresses
-  // the cancel timeout (bounded -- see below), a recorded "cancelled"
-  // withdraws immediately.  OS-thread timing can still disagree; every
-  // unhonored decision counts as divergence.
-  Worker* victim = nullptr;
-  stu::SchedDecision forced_outcome{};
-  bool have_outcome = false;
-  if (stu::sched_replaying()) [[unlikely]] {
-    stu::SchedDecision d;
-    if (stu::sched_replay_next(stu::kSchedVictim, static_cast<std::uint16_t>(id_),
-                               stu::kTraceSrcRuntime, &d, &trace_)) {
-      if (d.a < rt_.num_workers() && d.a != id_) {
-        victim = &rt_.worker(static_cast<unsigned>(d.a));
-      } else {
-        stu::sched_note_divergence(stu::kSchedVictim, static_cast<std::uint16_t>(id_),
-                                   stu::kTraceSrcRuntime, d.seq, d.a, id_,
-                                   "forced victim id invalid");
-      }
-      // Consume the paired outcome even when the victim was unusable so
-      // later negotiations stay aligned with their own pairs.
-      have_outcome = stu::sched_replay_next(stu::kSchedStealResult,
-                                            static_cast<std::uint16_t>(id_),
-                                            stu::kTraceSrcRuntime, &forced_outcome,
-                                            &trace_);
-      if (victim == nullptr) return false;
-    } else {
-      // Log exhausted: free-run.
-      victim = rt_.choose_victim(rng_, id_);
-    }
-  } else {
-    victim = rt_.choose_victim(rng_, id_);
-  }
+  // Schedule recording (util/sched_log.hpp) logs one kSchedVictim per
+  // *posted* probe (after the port CAS, so every logged probe has a
+  // matching kSchedStealResult); idle-loop calls that found no victim are
+  // not logged, keeping spin logs small.  Native logs are observations
+  // for the race analysis and the trace timeline: replay is STVM-only.
+  Worker* victim = rt_.choose_victim(rng_, id_);
   if (victim == nullptr) return false;
   set_phase(WorkerPhase::kStealing);
   const bool timed = stu::metrics_enabled();
@@ -445,13 +402,6 @@ bool Worker::try_steal_and_run() {
   req.thief = static_cast<std::uint32_t>(id_);
   StealRequest* expected = nullptr;
   if (!victim->port().compare_exchange_strong(expected, &req, std::memory_order_acq_rel)) {
-    if (have_outcome) {
-      stu::sched_note_divergence(stu::kSchedStealResult,
-                                 static_cast<std::uint16_t>(id_),
-                                 stu::kTraceSrcRuntime, forced_outcome.seq,
-                                 forced_outcome.a, stu::kSchedOutcomeRejected,
-                                 "victim port already claimed");
-    }
     set_phase(WorkerPhase::kIdle);
     return false;  // someone else is already negotiating with this victim
   }
@@ -469,23 +419,11 @@ bool Worker::try_steal_and_run() {
                       stu::kTraceSrcRuntime, victim->id(), 0, &trace_);
   }
 
-  // A recorded "served" waits well past the normal limit for the victim
-  // to deliver (the bound keeps a mutated schedule from hanging the
-  // thief); a recorded "cancelled" withdraws at the first opportunity.
-  int cancel_after = kStealSpinLimit;
-  if (have_outcome) {
-    if (forced_outcome.a == stu::kSchedOutcomeServed) {
-      cancel_after = kStealSpinLimit * 64;
-    } else if (forced_outcome.a == stu::kSchedOutcomeCancelled) {
-      cancel_after = 0;
-    }
-  }
-
   int spins = 0;
   bool cancel_tried = false;
   while (req.state.load(std::memory_order_acquire) == StealRequest::kPosted) {
     serve_steal_request();  // stay responsive to requests aimed at us
-    if (++spins > cancel_after && !cancel_tried) {
+    if (++spins > kStealSpinLimit && !cancel_tried) {
       cancel_tried = true;
       StealRequest* me = &req;
       if (victim->port().compare_exchange_strong(me, nullptr, std::memory_order_acq_rel)) {
@@ -499,13 +437,6 @@ bool Worker::try_steal_and_run() {
           stu::sched_record(stu::kSchedStealResult, static_cast<std::uint16_t>(id_),
                             stu::kTraceSrcRuntime, stu::kSchedOutcomeCancelled,
                             victim->id(), &trace_);
-        }
-        if (have_outcome && forced_outcome.a != stu::kSchedOutcomeCancelled) {
-          stu::sched_note_divergence(stu::kSchedStealResult,
-                                     static_cast<std::uint16_t>(id_),
-                                     stu::kTraceSrcRuntime, forced_outcome.seq,
-                                     forced_outcome.a, stu::kSchedOutcomeCancelled,
-                                     "negotiation cancelled");
         }
         if (timed) metrics_.steal_cancel_latency.record(stu::trace_clock() - t0);
         set_phase(WorkerPhase::kIdle);
@@ -526,16 +457,6 @@ bool Worker::try_steal_and_run() {
                       stu::kTraceSrcRuntime,
                       served ? stu::kSchedOutcomeServed : stu::kSchedOutcomeRejected,
                       victim->id(), &trace_);
-  }
-  if (have_outcome &&
-      forced_outcome.a != (served ? stu::kSchedOutcomeServed
-                                  : stu::kSchedOutcomeRejected)) {
-    stu::sched_note_divergence(stu::kSchedStealResult, static_cast<std::uint16_t>(id_),
-                               stu::kTraceSrcRuntime, forced_outcome.seq,
-                               forced_outcome.a,
-                               served ? stu::kSchedOutcomeServed
-                                      : stu::kSchedOutcomeRejected,
-                               "negotiation resolved differently");
   }
   if (!served) {
     ++stats_.steals_rejected;
@@ -564,47 +485,31 @@ void Worker::attach_and_run(Continuation target, SwitchMsg* msg) {
   run_switch_msg(back);
 }
 
-void Worker::idle_backoff_step(int& spins, int& yields) {
-  const IdlePolicy& pol = rt_.idle_policy();
-  if (spins == 0 && yields == 0) {
+void Worker::idle_backoff_step(int& steps) {
+  // The idle episode: kIdleSpins pause-spins, then one sleep.  Fixed by
+  // measurement (EXPERIMENTS.md, "Idle path").
+  constexpr int kIdleSpins = 64;
+  if (steps == 0) {
     // Entering an idle episode: our deques are empty -- say so, so
-    // thieves stop probing us and the park recheck sees the truth.
+    // thieves stop probing us and the sleep's recheck sees the truth.
     publish_depth();
     // Drain any already-ready I/O before backing off: a resumed waiter
     // lands on our readyq and ends the episode immediately.
     IoPoller* io = io_poller();
     if (io != nullptr && io->has_pending() && io->poll(0) > 0) return;
   }
-  if (spins < pol.spin) {
-    ++spins;
+  if (steps < kIdleSpins) {
+    ++steps;
     stu::cpu_pause();
     return;
   }
-  if (yields < pol.yields) {
-    ++yields;
-    std::this_thread::yield();
-    return;
-  }
-  spins = 0;
-  yields = 0;
-  // Stage 3.  A reactor with suspended waiters folds epoll_wait into the
-  // backoff: readiness, timer expiry and notify_work (eventfd) all wake
-  // it, so futex-parking here would just add a second sleeper to kick.
-  IoPoller* io = io_poller();
-  if (io != nullptr && io->has_pending()) {
-    rt_.io_block_worker(*this);
-    return;
-  }
-  if (pol.park) {
-    rt_.park_worker(*this);
-  } else {
-    std::this_thread::yield();
-  }
+  steps = 0;
+  rt_.sleep_worker(*this);
 }
 
 void Worker::scheduler_loop() {
   tl_worker = this;
-  int spins = 0, yields = 0;
+  int idle_steps = 0;
   while (!rt_.done()) {
     serve_steal_request();
     // Busy workers still drain their epoll set, decimated so the syscall
@@ -622,7 +527,7 @@ void Worker::scheduler_loop() {
       set_phase(WorkerPhase::kWorking);
       attach_and_run(*c);
       set_phase(WorkerPhase::kIdle);
-      spins = yields = 0;
+      idle_steps = 0;
       continue;
     }
     std::function<void()> root;
@@ -646,14 +551,14 @@ void Worker::scheduler_loop() {
       set_phase(WorkerPhase::kWorking);
       attach_and_run(root_ctx);
       set_phase(WorkerPhase::kIdle);
-      spins = yields = 0;
+      idle_steps = 0;
       continue;
     }
     if (try_steal_and_run()) {
-      spins = yields = 0;
+      idle_steps = 0;
       continue;
     }
-    idle_backoff_step(spins, yields);
+    idle_backoff_step(idle_steps);
   }
   // Shutdown: publish the final counters (stats() reads mirrors after the
   // join) and resolve any request still parked on our port so no thief
@@ -673,14 +578,6 @@ Runtime::Runtime(RuntimeConfig cfg) {
   stu::metrics_configure_from_env();
   stu::sched_configure_from_env();
   if (cfg.workers == 0) cfg.workers = 1;
-  idle_.park = stu::env_long("ST_PARK", 1) != 0;
-#if !defined(__linux__)
-  idle_.park = false;  // no futex; the backoff tops out at the yield stage
-#endif
-  idle_.spin = static_cast<int>(stu::env_long("ST_SPIN", 64));
-  idle_.yields = static_cast<int>(stu::env_long("ST_YIELD", 8));
-  idle_.park_timeout_us = stu::env_long("ST_PARK_TIMEOUT_US", 2000);
-  idle_.io_wait_us = stu::env_long("ST_IO_WAIT_US", 2000);
   published_load_ =
       std::vector<stu::CacheAligned<std::atomic<std::uint32_t>>>(cfg.workers);
   workers_.reserve(cfg.workers);
@@ -770,26 +667,16 @@ void Runtime::inject(std::function<void()> fn) {
 
 bool Runtime::pop_injected(std::function<void()>& out) {
   if (injected_count_.load(std::memory_order_acquire) == 0) return false;
-  // Replay gate: which worker claims an injected root is a scheduling
-  // decision (it decides where the whole computation tree grows from).
-  // If the log says another worker took this root, step aside; the gate
-  // abandons an unclaimable head after bounded refusals so a log from a
-  // different worker count cannot wedge the loop.
-  const std::uint16_t me = tl_worker != nullptr
-                               ? static_cast<std::uint16_t>(tl_worker->id())
-                               : static_cast<std::uint16_t>(0xffff);
-  if (stu::sched_replaying()) [[unlikely]] {
-    if (!stu::sched_replay_root_claim(me, stu::kTraceSrcRuntime)) return false;
-  }
   stu::SpinGuard g(inject_lock_);
   if (injected_.empty()) return false;
   injected_count_.fetch_sub(1, std::memory_order_acq_rel);
   out = std::move(injected_.front());
   injected_.erase(injected_.begin());
   if (stu::sched_recording()) [[unlikely]] {
-    stu::sched_record(stu::kSchedRoot, me, stu::kTraceSrcRuntime,
-                      injected_.size(), 0,
-                      tl_worker != nullptr ? &tl_worker->trace_ring() : nullptr);
+    // Only scheduler loops pop roots, so tl_worker is the claimer.
+    stu::sched_record(stu::kSchedRoot, static_cast<std::uint16_t>(tl_worker->id()),
+                      stu::kTraceSrcRuntime, injected_.size(), 0,
+                      &tl_worker->trace_ring());
   }
   return true;
 }
@@ -821,67 +708,61 @@ Worker* Runtime::choose_victim(stu::Xoshiro256& rng, unsigned self) {
 
 void Runtime::notify_work() noexcept {
   work_epoch_.fetch_add(1, std::memory_order_seq_cst);
-  if (parked_.load(std::memory_order_seq_cst) > 0) {
-#if defined(__linux__)
-    futex_wake_all(work_epoch_);
-#endif
-  }
-  // Workers hiding in epoll_wait instead of the futex get an eventfd
-  // poke.  The counter read pairs with io_block_worker's seq_cst
-  // increment exactly like the parked_ protocol; a wake() that lands
-  // before the epoll_wait is sticky (the eventfd stays readable), so
-  // there is no lost-wakeup window at all on this path.
+  if (parked_.load(std::memory_order_seq_cst) > 0) futex_wake_all(work_epoch_);
+  // Workers in epoll_wait get an eventfd poke, and only they: a wake()
+  // that lands before the epoll_wait is sticky (the eventfd stays
+  // readable), so that sleep has no lost-wakeup window at all.
   if (io_blocked_.load(std::memory_order_seq_cst) > 0) {
     for (auto& w : workers_) {
-      if (w->io_blocked()) {
-        if (IoPoller* io = w->io_poller()) io->wake();
-      }
+      if (w->io_blocked()) w->io_poller()->wake();
     }
   }
 }
 
-void Runtime::park_worker(Worker& self) {
-#if !defined(__linux__)
-  std::this_thread::yield();
-  (void)self;
-#else
-  // Parking protocol (lost-wakeup-free against notify_work):
-  //   parker:   parked_++ ; advertise kPollParked ; e = epoch ; recheck
-  //             work ; futex_wait(epoch == e)
-  //   producer: publish work ; epoch++ ; if parked_ > 0 wake
-  // Both counter accesses are seq_cst: if the producer's parked_ read
-  // misses our increment, its epoch bump precedes our epoch read in the
-  // total order, so futex_wait returns immediately (value changed) and
-  // the acquire on the epoch makes the published work visible to the
-  // recheck.  The ST_PARK_TIMEOUT_US timeout is belt and braces.
-  self.publish_stats();  // mirrors + depth now exact; stats() relies on this
-  parked_.fetch_add(1, std::memory_order_seq_cst);
-  self.set_parked(true);
-  for (auto& w : workers_) {
-    if (w.get() != &self) w->post_poll_bits(Worker::kPollParked);
+void Runtime::sleep_worker(Worker& self) {
+  // Sleep protocol (lost-wakeup-free against notify_work):
+  //   sleeper:  publish ; count++ (parked_ or io_blocked_) ; mark ;
+  //             [futex: advertise kPollParked] ; e = epoch ; recheck ;
+  //             sleep (futex: while epoch == e)
+  //   producer: publish work ; epoch++ ; wake each kind counted > 0
+  // The counter accesses are seq_cst: if the producer's read misses our
+  // increment, its epoch bump precedes our epoch read in the total order,
+  // so the futex wait returns at once (value changed) and the acquire on
+  // the epoch makes the published work visible to the recheck.  The
+  // epoll sleep needs no epoch: its eventfd wake is sticky.  Publication
+  // comes first: stats() reads a sleeper's mirror as current, and thieves
+  // must see our zero depth.  kIdleSleepUs is only a backstop.
+  IoPoller* io = self.io_poller();
+  const bool epoll = io != nullptr && io->has_pending();
+  std::atomic<unsigned>& sleepers = epoll ? io_blocked_ : parked_;
+  self.publish_stats();
+  sleepers.fetch_add(1, std::memory_order_seq_cst);
+  self.set_sleep(epoll ? Worker::Sleep::kEpoll : Worker::Sleep::kFutex);
+  if (!epoll) {
+    for (auto& w : workers_) {
+      if (w.get() != &self) w->post_poll_bits(Worker::kPollParked);
+    }
   }
   const std::uint32_t epoch = work_epoch_.load(std::memory_order_seq_cst);
   bool work = done() || injected_count_.load(std::memory_order_acquire) > 0 ||
               (self.poll_word() & (Worker::kPollSteal | Worker::kPollSample)) != 0;
-  if (!work) {
-    for (unsigned i = 0; i < num_workers(); ++i) {
-      if (i != self.id() && published_load(i) > 0) {
-        work = true;
-        break;
-      }
-    }
+  for (unsigned i = 0; !work && i < num_workers(); ++i) {
+    work = i != self.id() && published_load(i) > 0;
   }
-  if (!work) {
-    // Park/wake edges are recorded (not steered): replay cannot force a
-    // futex to sleep, but the edges interleave into the schedule log so
-    // a shrunk schedule shows who was asleep around the failure.
+  if (epoll) {
+    // Even when the recheck found work, poll nonblockingly: ready fds
+    // feed the readyq ahead of a steal attempt.
+    io->poll(work ? 0 : kIdleSleepUs);
+  } else if (!work) {
+    // Park/wake edges are recorded for the schedule log, so it shows who
+    // was asleep around a failure.
     if (stu::sched_recording()) [[unlikely]] {
       stu::sched_record(stu::kSchedPark, static_cast<std::uint16_t>(self.id()),
                         stu::kTraceSrcRuntime, epoch, 0, &self.trace_ring());
     }
-    futex_wait(work_epoch_, epoch, idle_.park_timeout_us);
-    // Bumped by the waking worker itself (one RMW per park episode,
-    // never on the fast path).
+    futex_wait(work_epoch_, epoch, kIdleSleepUs);
+    // Bumped by the waking worker itself (one RMW per park, never on the
+    // fast path).
     idle_wakes_.fetch_add(1, std::memory_order_relaxed);
     if (stu::sched_recording()) [[unlikely]] {
       stu::sched_record(stu::kSchedUnpark, static_cast<std::uint16_t>(self.id()),
@@ -890,40 +771,10 @@ void Runtime::park_worker(Worker& self) {
                         &self.trace_ring());
     }
   }
-  self.set_parked(false);
-  parked_.fetch_sub(1, std::memory_order_seq_cst);
-  // Service anything that landed while we were out (steal posts are
+  self.set_sleep(Worker::Sleep::kAwake);
+  sleepers.fetch_sub(1, std::memory_order_seq_cst);
+  // Service anything that landed while we slept (steal posts are
   // rejected fast rather than left to time out).
-  if (self.poll_word() != 0) self.poll_slow();
-#endif
-}
-
-void Runtime::io_block_worker(Worker& self) {
-  // Mirror of park_worker with the futex swapped for the reactor's
-  // epoll_wait.  Publication first: stats() treats an io-blocked worker's
-  // mirror as current, and thieves must see our zero depth.
-  self.publish_stats();
-  io_blocked_.fetch_add(1, std::memory_order_seq_cst);
-  self.set_io_blocked(true);
-  bool work = done() || injected_count_.load(std::memory_order_acquire) > 0 ||
-              (self.poll_word() & (Worker::kPollSteal | Worker::kPollSample)) != 0;
-  if (!work) {
-    for (unsigned i = 0; i < num_workers(); ++i) {
-      if (i != self.id() && published_load(i) > 0) {
-        work = true;
-        break;
-      }
-    }
-  }
-  // Even when the recheck found work we still poll nonblockingly: ready
-  // fds feed the readyq ahead of a steal attempt.  A notify_work racing
-  // with the flag set above wrote the eventfd, which stays readable until
-  // drained -- a blocking poll returns immediately rather than sleeping
-  // through the new work.
-  IoPoller* io = self.io_poller();
-  io->poll(work ? 0 : idle_.io_wait_us);
-  self.set_io_blocked(false);
-  io_blocked_.fetch_sub(1, std::memory_order_seq_cst);
   if (self.poll_word() != 0) self.poll_slow();
 }
 
@@ -958,10 +809,11 @@ RuntimeStats Runtime::stats() const {
     for (const auto& w : workers_) {
       if (w.get() == self) continue;
       // The acquire load pairs with the owner's release clear of
-      // kPollSample after publishing (parked()/io_blocked() pair with
-      // the release stores made after their own publish).
-      while ((w->poll_word_acquire() & Worker::kPollSample) != 0 && !w->parked() &&
-             !w->io_blocked() && std::chrono::steady_clock::now() < deadline) {
+      // kPollSample after publishing (sleep_kind() pairs with the
+      // release store made after the sleeper's own publish).
+      while ((w->poll_word_acquire() & Worker::kPollSample) != 0 &&
+             w->sleep_kind() == Worker::Sleep::kAwake &&
+             std::chrono::steady_clock::now() < deadline) {
         std::this_thread::yield();
       }
     }

@@ -70,18 +70,6 @@ struct RuntimeConfig {
   long metrics_period_ms = -1;
 };
 
-/// Idle-path tuning (staged backoff), resolved once at Runtime
-/// construction from the environment (docs/OBSERVABILITY.md).
-struct IdlePolicy {
-  /// ST_PARK: futex-park after the backoff stages (default on; forced
-  /// off on non-Linux hosts).
-  bool park = true;
-  int spin = 64;             ///< ST_SPIN: pause-spin iterations (stage 1)
-  int yields = 8;            ///< ST_YIELD: sched yields (stage 2)
-  long park_timeout_us = 2000;  ///< ST_PARK_TIMEOUT_US: belt-and-braces wake
-  long io_wait_us = 2000;    ///< ST_IO_WAIT_US: stage-3 epoll_wait timeout
-};
-
 /// Aggregated counters over all workers: every ST_WORKER_COUNTERS row.
 struct RuntimeStats {
   ST_WORKER_COUNTERS(ST_COUNTER_FIELD, ST_COUNTER_FIELD)
@@ -130,8 +118,6 @@ class Runtime {
   /// ST_METRICS_PERIOD_MS or the RuntimeConfig equivalents); else null.
   Monitor* monitor() noexcept { return monitor_.get(); }
 
-  const IdlePolicy& idle_policy() const noexcept { return idle_; }
-  bool parking_enabled() const noexcept { return idle_.park; }
   /// Workers currently blocked in futex_wait on the work epoch.
   unsigned parked_workers() const noexcept {
     return parked_.load(std::memory_order_acquire);
@@ -163,22 +149,22 @@ class Runtime {
     return published_load_[id].value.load(std::memory_order_relaxed);
   }
 
-  /// New-stealable-work signal: bump the work epoch and wake parked
-  /// workers (futex).  Called on inject/resume and -- via the kPollParked
-  /// poll bit -- from the fork slow path while anyone is parked.
+  /// New-stealable-work signal: bump the work epoch, futex-wake the
+  /// parked workers (only if there are any) and write the eventfd of each
+  /// worker asleep in epoll_wait (only those).  Called on inject and --
+  /// via the kPollParked poll bit, which only futex sleepers post -- from
+  /// the poll slow path of a worker with stealable work.
   void notify_work() noexcept;
 
-  /// Stage-3 idle backoff: publish, advertise kPollParked to the other
-  /// workers, re-check for work, and futex-park on the work epoch (with
-  /// the ST_PARK_TIMEOUT_US belt-and-braces timeout).  Returns once woken
-  /// or when the recheck found work.
-  void park_worker(Worker& self);
-
-  /// Stage-3 variant for workers whose reactor has suspended waiters:
-  /// block in epoll_wait (ST_IO_WAIT_US) instead of the futex so fd
-  /// readiness, timer expiry and notify_work (via IoPoller::wake) all end
-  /// the sleep.  Same publication contract as park_worker.
-  void io_block_worker(Worker& self);
+  /// The idle path's one sleep: publish the mirrors, mark this worker
+  /// asleep, re-check for work, then block -- in its reactor's epoll_wait
+  /// when fine-grain threads wait on its fds or timers (readiness, timer
+  /// expiry and notify_work's eventfd all end that sleep), else in a futex
+  /// wait on the work epoch.  Either sleep lasts at most kIdleSleepUs, a
+  /// backstop: notify_work reaches both kinds of sleeper.  Returns once
+  /// woken, or at once when the recheck found work.
+  void sleep_worker(Worker& self);
+  static constexpr long kIdleSleepUs = 2000;
 
   /// Workers currently blocked inside their reactor's epoll_wait.
   unsigned io_blocked_workers() const noexcept {
@@ -196,7 +182,6 @@ class Runtime {
   std::atomic<bool> done_{false};
   std::unique_ptr<Monitor> monitor_;
   int metrics_provider_ = -1;
-  IdlePolicy idle_;
 
   stu::Spinlock inject_lock_;
   std::vector<std::function<void()>> injected_;

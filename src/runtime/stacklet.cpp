@@ -9,17 +9,14 @@
 #include <stdexcept>
 
 #include "runtime/annotate.hpp"
-#include "util/env.hpp"
 
 namespace st {
 
-StackRegion::StackRegion(std::size_t slot_bytes, std::size_t slots, long trim_slots)
-    : slot_bytes_(slot_bytes), slots_(slots), state_(slots) {
+StackRegion::StackRegion(std::size_t slot_bytes, std::size_t slots, std::size_t trim_slots)
+    : slot_bytes_(slot_bytes), slots_(slots), trim_slots_(trim_slots), state_(slots) {
   if (slot_bytes_ < sizeof(Stacklet) + Stacklet::kClosureBytes + 4096) {
     throw std::invalid_argument("stacklet slot too small");
   }
-  if (trim_slots < 0) trim_slots = stu::env_long("ST_TRIM_SLOTS", 32);
-  trim_slots_ = static_cast<std::size_t>(trim_slots);
   void* mem = ::mmap(nullptr, slot_bytes_ * slots_, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   if (mem == MAP_FAILED) throw std::bad_alloc();

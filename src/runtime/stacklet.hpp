@@ -29,8 +29,8 @@
 //     of falling off to the heap.  (Slot reuse is sound here precisely
 //     because stacklets, unlike the paper's frames, are fixed-size.)
 //   - Trim: when shrink retreats the bump pointer far below the highest
-//     slot ever touched (>= trim_slots), the drained span's pages are
-//     returned to the OS with madvise(MADV_DONTNEED).
+//     slot ever touched (>= trim_slots, 32 by default), the drained
+//     span's pages are returned to the OS with madvise(MADV_DONTNEED).
 //
 // When the region is exhausted (deep outstanding suspension) and no
 // retired slot can be scavenged, allocation falls back to heap stacklets
@@ -92,9 +92,9 @@ class StackRegion {
  public:
   /// slots * slot_bytes of address space is reserved lazily (mmap,
   /// MAP_NORESERVE); pages are touched only as stacklets are used.
-  /// trim_slots: madvise threshold in slots (-1 = ST_TRIM_SLOTS from the
-  /// environment, default 32; 0 = never trim).
-  StackRegion(std::size_t slot_bytes, std::size_t slots, long trim_slots = -1);
+  /// trim_slots: madvise threshold in slots (0 = never trim; only tests
+  /// pass anything but the default, EXPERIMENTS.md "Idle path").
+  StackRegion(std::size_t slot_bytes, std::size_t slots, std::size_t trim_slots = 32);
   ~StackRegion();
   StackRegion(const StackRegion&) = delete;
   StackRegion& operator=(const StackRegion&) = delete;

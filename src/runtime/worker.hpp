@@ -219,7 +219,7 @@ class alignas(stu::kCacheLine) Worker {
   ~Worker();
 
   /// The scheduler loop of Figure 12 (runs on the worker's OS thread),
-  /// with the staged idle backoff: pause spin -> yield -> futex park.
+  /// with the idle backoff: pause spins, then Runtime::sleep_worker.
   void scheduler_loop();
 
   /// The per-fork poll collapses to this: one relaxed load, one branch.
@@ -321,13 +321,16 @@ class alignas(stu::kCacheLine) Worker {
     return static_cast<WorkerPhase>(phase_.load(std::memory_order_relaxed));
   }
 
-  /// True while the worker is blocked in futex_wait on the work epoch.
-  /// A parked worker has published everything and cannot serve its port;
-  /// thieves skip it, and stats() treats its mirror as current.
-  bool parked() const noexcept { return parked_.load(std::memory_order_acquire); }
-  void set_parked(bool p) noexcept {
-    parked_.store(p, std::memory_order_release);
-  }
+  /// Where the worker sleeps, if it does (Runtime::sleep_worker).  A
+  /// sleeping worker has published everything and cannot serve its port;
+  /// stats() treats its mirror as current.  kFutex: blocked in futex_wait
+  /// on the work epoch.  kEpoll: blocked in its reactor's epoll_wait, so
+  /// notify_work must wake() the reactor.
+  enum class Sleep : std::uint8_t { kAwake, kFutex, kEpoll };
+  Sleep sleep_kind() const noexcept { return sleep_.load(std::memory_order_acquire); }
+  void set_sleep(Sleep k) noexcept { sleep_.store(k, std::memory_order_release); }
+  bool parked() const noexcept { return sleep_kind() == Sleep::kFutex; }
+  bool io_blocked() const noexcept { return sleep_kind() == Sleep::kEpoll; }
 
   /// The worker's I/O reactor, installed lazily by src/io on the first
   /// would-block operation run on this worker (owner stores; any thread
@@ -338,17 +341,6 @@ class alignas(stu::kCacheLine) Worker {
   }
   void install_io_poller(IoPoller* p) noexcept {
     io_poller_.store(p, std::memory_order_release);
-  }
-
-  /// True while the worker is blocked inside io_poller()->poll() in place
-  /// of a futex park (stage 3 of the idle backoff).  Same contract as
-  /// parked(): mirrors were published first, stats() treats them as
-  /// current, and notify_work must wake() the reactor.
-  bool io_blocked() const noexcept {
-    return io_blocked_.load(std::memory_order_acquire);
-  }
-  void set_io_blocked(bool b) noexcept {
-    io_blocked_.store(b, std::memory_order_release);
   }
 
   WorkerMetrics& metrics() noexcept { return metrics_; }
@@ -370,9 +362,9 @@ class alignas(stu::kCacheLine) Worker {
  private:
   void trace_record(stu::TraceEvent ev, std::uint64_t a, std::uint64_t b) noexcept;
 
-  /// One staged-backoff step of the idle path; returns true if the stage
-  /// machinery parked (slept) the worker.
-  void idle_backoff_step(int& spins, int& yields);
+  /// One step of the idle backoff; `steps` counts the idle episode's
+  /// steps so far and is reset when the worker sleeps.
+  void idle_backoff_step(int& steps);
 
   Runtime& rt_;
   unsigned id_;
@@ -392,8 +384,7 @@ class alignas(stu::kCacheLine) Worker {
   WorkerStatsMirror mirror_;
   std::atomic<std::uint64_t> hb_mirror_{0};
   std::atomic<std::uint32_t> phase_{0};  // WorkerPhase::kIdle
-  std::atomic<bool> parked_{false};
-  std::atomic<bool> io_blocked_{false};
+  std::atomic<Sleep> sleep_{Sleep::kAwake};
   std::atomic<IoPoller*> io_poller_{nullptr};
   int io_poll_countdown_ = kIoPollEvery;
   CellCache cell_cache_;

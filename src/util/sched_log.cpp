@@ -20,18 +20,12 @@ namespace {
 constexpr char kSchedMagic[16] = {'s', 't', 'm', 'p', '-', 's', 'c', 'h',
                                   'e', 'd', '-', 'v', '1', '\0', '\0', '\0'};
 
-/// How many times the head root decision may be refused before replay
-/// abandons it (divergence) rather than deadlocking the scheduler loop.
-constexpr std::uint64_t kRootPatience = 100000;
-
 struct SchedState {
   std::mutex lock;
   std::uint64_t clock = 0;                 // Lamport seq, next value = clock + 1
   std::vector<SchedDecision> recorded;     // record-mode buffer
-  // Replay: per-(src, worker, kind) FIFO; roots are globally ordered.
+  // Replay: per-(src, worker, kind) FIFO of STVM decisions.
   std::map<std::uint64_t, std::deque<SchedDecision>> queues;
-  std::deque<SchedDecision> roots;
-  std::uint64_t root_refusals = 0;
   std::string record_path;                 // ST_SCHED_RECORD target
   bool first_divergence_reported = false;
   Counter recorded_n;
@@ -92,17 +86,21 @@ void ensure_provider_locked(SchedState& s) {
 
 void load_replay_locked(SchedState& s, std::vector<SchedDecision> log) {
   s.queues.clear();
-  s.roots.clear();
-  s.root_refusals = 0;
   s.first_divergence_reported = false;
+  std::size_t dropped = 0;
   for (const SchedDecision& d : log) {
     if (is_annotation_kind(d.kind)) continue;  // observations, never forced
-    if (d.kind == kSchedRoot) {
-      s.roots.push_back(d);
-    } else {
-      s.queues[queue_key(static_cast<TraceSource>(d.src), d.worker,
-                         d.kind)].push_back(d);
+    if (d.src != kTraceSrcStvm) {
+      ++dropped;  // native decisions are recorded, never forced back
+      continue;
     }
+    s.queues[queue_key(kTraceSrcStvm, d.worker, d.kind)].push_back(d);
+  }
+  if (dropped > 0) {
+    std::fprintf(stderr,
+                 "[sched-replay] dropped %zu runtime-source decisions: replay "
+                 "forces STVM decisions only\n",
+                 dropped);
   }
 }
 
@@ -196,38 +194,6 @@ bool sched_replay_next(SchedKind kind, std::uint16_t worker, TraceSource src,
   return true;
 }
 
-bool sched_replay_root_claim(std::uint16_t worker, TraceSource src) {
-  SchedState& s = state();
-  SchedDecision abandoned{};
-  bool report = false;
-  {
-    std::lock_guard<std::mutex> g(s.lock);
-    if (s.roots.empty()) return true;  // log exhausted: free-run
-    SchedDecision& head = s.roots.front();
-    if (head.worker == worker && head.src == static_cast<std::uint32_t>(src)) {
-      s.roots.pop_front();
-      s.root_refusals = 0;
-      s.replayed_n.v.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    if (++s.root_refusals >= kRootPatience) {
-      // The recorded claimer never showed up (fewer workers, different
-      // timing).  Give the root to whoever is asking now.
-      abandoned = head;
-      s.roots.pop_front();
-      s.root_refusals = 0;
-      report = true;
-    }
-  }
-  if (report) {
-    sched_note_divergence(static_cast<SchedKind>(abandoned.kind), worker, src,
-                          abandoned.seq, abandoned.worker, worker,
-                          "recorded root claimer absent");
-    return true;
-  }
-  return false;
-}
-
 void sched_note_divergence(SchedKind kind, std::uint16_t worker, TraceSource src,
                            std::uint64_t seq, std::uint64_t expect, std::uint64_t got,
                            const char* what) {
@@ -300,8 +266,6 @@ void sched_set_off() {
   SchedState& s = state();
   std::lock_guard<std::mutex> g(s.lock);
   s.queues.clear();
-  s.roots.clear();
-  s.root_refusals = 0;
 }
 
 void sched_set_record() {

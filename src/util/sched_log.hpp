@@ -5,10 +5,10 @@
 // where a quantum expires, which waiter an io batch delivers first,
 // park/unpark edges -- can be recorded into a compact in-memory log and
 // written out at exit as a versioned binary file (`stmp-sched-v1`).  A
-// later run can load that file and *force* the recorded schedule back
-// through the same decision points, turning an interleaving bug into a
-// reproducible artifact that tools/st_replay can validate, mutate and
-// delta-shrink.
+// later STVM run can load that file and *force* the recorded schedule
+// back through the same decision points, turning an interleaving bug
+// into a reproducible artifact that tools/st_replay can validate, mutate
+// and delta-shrink.
 //
 // Decisions are sequenced by a single Lamport-style clock shared by all
 // workers and both sources (native runtime and STVM).  Each decision can
@@ -20,9 +20,11 @@
 //   * STVM (kTraceSrcStvm): the VM runs on one OS thread, so a replayed
 //     log forces a bit-identical architectural schedule; trace digests,
 //     results and VmStats reproduce exactly, run after run.
-//   * Native runtime (kTraceSrcRuntime): replay is best-effort steering.
-//     Forced decisions are applied where the OS thread interleaving
-//     allows; every decision that cannot be honored increments the
+//   * Native runtime (kTraceSrcRuntime): recorded only.  OS threads
+//     really race, so nothing forces these decisions back; the log feeds
+//     the HB race analysis (ST_SCHED_ANNOTATE), the trace timeline and
+//     sched_lint.  Loading a log for replay drops them, with one line.
+//   * An STVM decision that cannot be honored increments the
 //     `sched_divergence` counter and feeds the divergence-seq histogram.
 //
 // Cost when off: one relaxed atomic load and a predicted-not-taken
@@ -177,12 +179,6 @@ std::uint64_t sched_record(SchedKind kind, std::uint16_t worker, TraceSource src
 /// event so replayed traces carry the same schedule stream.
 bool sched_replay_next(SchedKind kind, std::uint16_t worker, TraceSource src,
                        SchedDecision* out, TraceRing* ring = nullptr);
-
-/// Root-claim gate: true when `worker` may take the next injected root
-/// according to the log (or the log has no more root decisions).  A head
-/// decision nobody claims is abandoned after a bounded number of
-/// refusals (counted as divergence) so replay cannot deadlock.
-bool sched_replay_root_claim(std::uint16_t worker, TraceSource src);
 
 /// Reports a forced decision that could not be honored.  The first
 /// divergence prints one line in the verifier's `proc/worker @decision`

@@ -4,11 +4,15 @@
 // st::io surface; nothing here reaches into reactor internals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include <sys/socket.h>
@@ -281,5 +285,68 @@ TEST(IoReactor, LoopbackEchoManyConnections) {
   EXPECT_GT(s.io_wakeups, 0u);  // epoll_wait actually ran
   EXPECT_GT(s.io_cancels, 0u);  // listener.close cancelled the acceptor
 }
+
+// The runtime's one idle sleep has two kinds of sleeper: a worker whose
+// reactor holds a pending fd wait blocks in epoll_wait, every other
+// worker futex-parks (Runtime::sleep_worker).  Each root below is
+// injected only once every worker sleeps, so it runs only when
+// notify_work reaches a sleeper; a lost wakeup stalls the root until
+// Runtime::kIdleSleepUs, the sleep's backstop.  Parameters: (workers,
+// whether one worker holds an fd wait) -- epoll only, futex only, mixed.
+class IdleSleepers : public ::testing::TestWithParam<std::tuple<unsigned, bool>> {};
+
+TEST_P(IdleSleepers, EveryRootWakesASleeper) {
+  const auto [workers, fd_wait] = GetParam();
+  st::Runtime rt(workers);
+  std::unique_ptr<Pair> p;
+  std::atomic<bool> read_done{false};
+  if (fd_wait) {
+    rt.run([&] {
+      p = std::make_unique<Pair>();
+      ASSERT_TRUE(p->valid());
+      st::fork([&] {  // suspends in this worker's reactor until the end
+        char c = 0;
+        EXPECT_EQ(st::io::read(p->a, &c, 1), 1);
+        read_done.store(true);
+      });
+    });
+  }
+  const unsigned in_epoll = fd_wait ? 1 : 0;
+  auto all_asleep = [&] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (rt.io_blocked_workers() != in_epoll || rt.parked_workers() != workers - in_epoll) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    return true;
+  };
+  constexpr int kRoots = 40;
+  std::vector<double> us;
+  for (int i = 0; i < kRoots; ++i) {
+    ASSERT_TRUE(all_asleep()) << "parked " << rt.parked_workers() << ", in epoll_wait "
+                              << rt.io_blocked_workers();
+    const auto t0 = std::chrono::steady_clock::now();
+    rt.run([] {});
+    us.push_back(std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - t0).count());
+  }
+  std::sort(us.begin(), us.end());
+  EXPECT_LT(us[kRoots / 2], st::Runtime::kIdleSleepUs / 4.0)
+      << "median root latency in us; slowest " << us.back();
+  if (fd_wait) {
+    rt.run([&] { EXPECT_EQ(::write(p->b.fd(), "x", 1), 1); });
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!read_done.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(read_done.load());
+    rt.run([&] { p.reset(); });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, IdleSleepers,
+                         ::testing::Values(std::make_tuple(1u, true),
+                                           std::make_tuple(2u, false),
+                                           std::make_tuple(3u, true)));
 
 }  // namespace

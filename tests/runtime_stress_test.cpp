@@ -89,12 +89,12 @@ TEST(RuntimeStress, HeapFallbackAndScavengeUnderSuspendChurn) {
 }
 
 TEST(RuntimeStress, ParkedWorkersQuiesceWithNearZeroCpu) {
-  // The staged idle path must end in a futex park, not a spin: with no
+  // The idle path must end in a futex park, not a spin: with no
   // work outstanding every worker parks, and the process burns (almost)
   // no CPU across a wall-clock window.  The 0.5x threshold is generous --
   // spinning workers on this host saturate a core (cpu ~= wall) -- so
   // the assertion is robust to timeout-driven re-park cycles
-  // (ST_PARK_TIMEOUT_US) while still catching a busy idle loop.
+  // (Runtime::kIdleSleepUs) while still catching a busy idle loop.
   st::Runtime rt(4);
   rt.run([] {});  // exercise inject -> wake -> drain once
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -116,7 +116,7 @@ TEST(RuntimeStress, ParkedWorkersQuiesceWithNearZeroCpu) {
   };
   const double cpu = cpu_of(after) - cpu_of(before);
   EXPECT_LT(cpu, 0.5 * wall) << "idle workers are burning CPU";
-  // Workers re-check at least every ST_PARK_TIMEOUT_US, so the
+  // Workers re-check at least every Runtime::kIdleSleepUs, so the
   // instantaneous parked count can dip mid-recheck; they must *return*
   // to fully parked promptly.
   const auto reparked_by = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -260,20 +260,27 @@ class StressWorkerTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(StressWorkerTest, RandomSuspendResumeStorm) {
   // Hundreds of threads suspend; a shuffler resumes them in random order
-  // (readyq tail policy); all must complete exactly once.
+  // (readyq tail policy); all must complete exactly once.  A thief can
+  // take the root at a child's entry poll, before that child suspends, so
+  // the root first joins `suspended`: each child finishes it from its
+  // suspend after-callback, which runs once the child's sp is written.
   st::Runtime rt(GetParam());
   rt.run([&] {
     constexpr int kThreads = 300;
     std::vector<st::Continuation> parked(kThreads);
     std::vector<std::atomic<int>> completed(kThreads);
+    st::JoinCounter suspended(kThreads);
     st::JoinCounter all(kThreads);
     for (int i = 0; i < kThreads; ++i) {
       st::fork([&, i] {
-        st::suspend(&parked[static_cast<std::size_t>(i)]);
+        st::suspend(&parked[static_cast<std::size_t>(i)],
+                    [](void* jc) { static_cast<st::JoinCounter*>(jc)->finish(); },
+                    &suspended);
         completed[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
         all.finish();
       });
     }
+    suspended.join();
     std::vector<int> order(kThreads);
     for (int i = 0; i < kThreads; ++i) order[static_cast<std::size_t>(i)] = i;
     stu::Xoshiro256 rng(GetParam());

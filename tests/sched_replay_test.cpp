@@ -4,9 +4,9 @@
 //     result, every VmStats field and the bit-identical trace digest --
 //     including across interpreter engines, since both charge budget per
 //     architectural instruction.
-//   * Native runtime: replay is best-effort steering; a recorded run
-//     replays to the same program result with decisions consumed from
-//     the log (counters prove the forced path was taken).
+//   * Native runtime: recorded only.  A recorded log lints and pairs every
+//     posted probe with one outcome; loading it for replay drops its
+//     runtime-source decisions, so a native run consumes none.
 //   * Divergence: a forced decision that cannot be honored is counted
 //     and reported, and execution still completes correctly (replay
 //     steers, it never corrupts).
@@ -153,33 +153,60 @@ TEST_F(SchedReplayTest, StvmDivergenceIsCountedAndHarmless) {
   EXPECT_GT(stu::sched_counters().divergence, 0u);
 }
 
-TEST_F(SchedReplayTest, NativeRecordReplayReproducesResult) {
-  long recorded_result = 0;
+TEST_F(SchedReplayTest, NativeRecordingLintsAndPairsEveryProbe) {
+  long result = 0;
   stu::sched_set_record();
   {
     st::Runtime rt(2);
-    rt.run([&] { recorded_result = apps::nqueens::run_st(6); });
+    rt.run([&] { result = apps::nqueens::run_st(6); });
   }  // workers joined: no more decisions recorded
-  std::vector<stu::SchedDecision> log = stu::sched_take_recorded();
+  const std::vector<stu::SchedDecision> log = stu::sched_take_recorded();
+  EXPECT_EQ(result, 4);  // nqueens(6)
   ASSERT_FALSE(log.empty()) << "a 2-worker run must make scheduling decisions";
   std::string err;
-  ASSERT_TRUE(stu::sched_lint(log, &err)) << err;
-  EXPECT_EQ(recorded_result, 4);  // nqueens(6)
-
-  // Native replay is best-effort steering (OS threads really race), so
-  // assert the semantic contract -- same result, decisions actually
-  // consumed -- rather than bit-identical traces.
-  for (int i = 0; i < 3; ++i) {
-    stu::sched_set_replay(log);
-    stu::sched_reset_counters();
-    long result = 0;
-    {
-      st::Runtime rt(2);
-      rt.run([&] { result = apps::nqueens::run_st(6); });
+  EXPECT_TRUE(stu::sched_lint(log, &err)) << err;
+  // Every posted probe has exactly one outcome, recorded by the same
+  // worker after it: the pairing the HB analysis and the timeline rely on.
+  std::vector<int> open(2, 0);
+  for (const stu::SchedDecision& d : log) {
+    ASSERT_EQ(d.src, stu::kTraceSrcRuntime);
+    ASSERT_LT(d.worker, 2u);
+    if (d.kind == stu::kSchedVictim) {
+      EXPECT_EQ(open[d.worker]++, 0) << "second probe before an outcome, seq " << d.seq;
+    } else if (d.kind == stu::kSchedStealResult) {
+      EXPECT_EQ(open[d.worker]--, 1) << "outcome without a probe, seq " << d.seq;
     }
-    EXPECT_EQ(result, recorded_result) << "replay " << i;
-    EXPECT_GT(stu::sched_counters().replayed, 0u) << "replay " << i;
   }
+  EXPECT_EQ(open[0], 0);
+  EXPECT_EQ(open[1], 0);
+}
+
+TEST_F(SchedReplayTest, NativeDecisionsAreDroppedOnLoad) {
+  stu::sched_set_record();
+  long recorded = 0;
+  {
+    st::Runtime rt(2);
+    rt.run([&] { recorded = apps::nqueens::run_st(6); });
+  }
+  std::vector<stu::SchedDecision> log = stu::sched_take_recorded();
+  ASSERT_FALSE(log.empty());
+  // Replay forces STVM decisions only: loading this log drops every
+  // runtime-source decision, says so in one named line, and the native
+  // run consumes nothing.
+  ::testing::internal::CaptureStderr();
+  stu::sched_set_replay(log);
+  const std::string out = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(out.find("[sched-replay] dropped"), std::string::npos) << out;
+  EXPECT_NE(out.find("runtime-source decisions"), std::string::npos) << out;
+  stu::sched_reset_counters();
+  long result = 0;
+  {
+    st::Runtime rt(2);
+    rt.run([&] { result = apps::nqueens::run_st(6); });
+  }
+  EXPECT_EQ(result, recorded);
+  EXPECT_EQ(stu::sched_counters().replayed, 0u);
+  EXPECT_EQ(stu::sched_counters().divergence, 0u);
 }
 
 TEST_F(SchedReplayTest, FileRoundTripAndLint) {

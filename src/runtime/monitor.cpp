@@ -77,8 +77,6 @@ std::string Monitor::last_dump() const {
 }
 
 void Monitor::on_stall(unsigned worker, std::uint64_t heartbeat) {
-  stalls_.store(stalls_.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
   std::string dump = dump_runtime_state(rt_);
   if (cfg_.dump_to_stderr) {
     std::fprintf(stderr,
@@ -91,6 +89,10 @@ void Monitor::on_stall(unsigned worker, std::uint64_t heartbeat) {
     std::lock_guard<std::mutex> hold(dump_lock_);
     last_dump_ = std::move(dump);
   }
+  // Count the stall only once its dump is stored: a reader that sees the
+  // count (acquire) then reads last_dump() gets this dump, not "".
+  stalls_.store(stalls_.load(std::memory_order_relaxed) + 1,
+                std::memory_order_release);
   // Preserve the evidence: drain live trace rings (so a later crash or the
   // atexit writer has the events leading up to the stall) and write a
   // metrics snapshot if one was requested.

@@ -51,7 +51,7 @@ class Monitor {
   Monitor& operator=(const Monitor&) = delete;
 
   std::uint64_t stalls_detected() const noexcept {
-    return stalls_.load(std::memory_order_relaxed);
+    return stalls_.load(std::memory_order_acquire);
   }
   std::uint64_t snapshots_written() const noexcept {
     return snapshots_.load(std::memory_order_relaxed);
